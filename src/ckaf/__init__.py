@@ -21,13 +21,10 @@ from .channel import (
 from .cklms import CklmsFilter, NoveltyCriterion, StepResult, instantaneous_cost_check, load_dictionary
 from .kernels import (
     RealKernel,
-    complexified_inner,
     embed,
-    feature_distance_sq,
     kernel_eval,
     kernel_eval_many,
     polynomial_feature_map,
-    unembed,
 )
 from .linear import ComplexNlms
 from .wirtinger import (
@@ -51,9 +48,7 @@ __all__ = [
     "WirtingerPair",
     "build_dataset",
     "check_gradient",
-    "complexified_inner",
     "embed",
-    "feature_distance_sq",
     "generate_source",
     "instantaneous_cost_check",
     "kernel_eval",
@@ -64,7 +59,6 @@ __all__ = [
     "property_suite",
     "run_channel",
     "run_experiment",
-    "unembed",
 ]
 
 __version__ = "0.1.0"

@@ -1,31 +1,30 @@
 """Complex kernel LMS with a growing dictionary and novelty sparsification.
 
 The filter state is an expansion over stored input centers z_k with
-complex coefficients c_k = a_k + i b_k. A step observes (z, d), emits
-the prediction
+one complex weight alpha_k each. A step observes (z, d), emits the
+prediction
 
-    y(z) = sum_k [(a_k + b_k) + i (a_k - b_k)] * kappa(z, z_k),
+    y(z) = 2 * sum_k alpha_k * kappa(z, z_k),
 
 forms the error e = d - y, and (if the novelty criterion admits z)
-appends the center with coefficients
-
-    a = mu (Re e + Im e) / gamma,   b = mu (Re e - Im e) / gamma,
-
-gamma being 2*kappa(z, z) in the normalized variant (NCKLMS) and 1
-otherwise. Stored coefficients are never revisited: the algorithm is a
-pure LMS in the complexified kernel space, and a sample rejected by
-the novelty criterion contributes no update at all.
+appends the center with weight alpha = mu * e / gamma, gamma being
+2*kappa(z, z) in the normalized variant (NCKLMS) and 1 otherwise.
+In the paper's (a, b) bookkeeping, 2*alpha = (a + b) + i (a - b).
+Stored weights are never revisited: the algorithm is a pure LMS in the
+complexified kernel space, and a sample rejected by the novelty
+criterion contributes no update at all.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import RealKernel, as_cvec, kernel_eval, kernel_eval_many, polynomial_feature_map, embed
+from .kernels import RealKernel, embed, kernel_row, polynomial_feature_map, self_kernel
 from .wirtinger import GradientCheckReport, WirtingerPair, check_gradient
 
 
@@ -64,7 +63,7 @@ class CklmsFilter:
     mu:
         Step size.
     normalized:
-        When True (NCKLMS) the per-step coefficients are divided by
+        When True (NCKLMS) the per-step weights are divided by
         gamma = 2*kappa(z, z); for the Gaussian kernel gamma == 2.
     novelty:
         Optional NoveltyCriterion controlling dictionary growth; None
@@ -86,9 +85,10 @@ class CklmsFilter:
         self.novelty = novelty
         self._dim: Optional[int] = None
         self._n = 0
-        self._centers = np.empty((0, 0), dtype=complex)
-        self._coeffs = np.empty(0, dtype=complex)
-        self._self_k = np.empty(0, dtype=float)  # kappa(z_k, z_k) cache
+        # embedded centers, their squared norms, and alpha_k as (re, im) rows
+        self._rows = np.empty((0, 0))
+        self._sq_norms = np.empty(0)
+        self._alpha = np.empty((0, 2))
 
     @property
     def dictionary_size(self) -> int:
@@ -96,88 +96,92 @@ class CklmsFilter:
 
     @property
     def centers(self) -> np.ndarray:
-        return self._centers[: self._n].copy()
+        rows = self._rows[: self._n]
+        return rows[:, : self._dim] + 1j * rows[:, self._dim :]
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self._coeffs[: self._n].copy()
+        """The (a, b) pairs as a_k + i b_k, with a = Re alpha + Im alpha, b = Re alpha - Im alpha."""
+        alpha = self._alpha[: self._n]
+        return (alpha[:, 0] + alpha[:, 1]) + 1j * (alpha[:, 0] - alpha[:, 1])
 
-    def _coerce(self, z) -> np.ndarray:
-        z = as_cvec(z)
-        if self._dim is not None and z.size != self._dim:
-            raise ValueError(f"input length {z.size} does not match dictionary dimension {self._dim}")
-        return z
+    def _row(self, z) -> tuple[np.ndarray, float, np.ndarray]:
+        """Validate and embed z once; return the embedding u, its squared
+        norm, and the one kernel row kappa(z, z_k) over the centers."""
+        u = embed(z)
+        if self._dim is not None and u.size != 2 * self._dim:
+            raise ValueError(f"input length {u.size // 2} does not match dictionary dimension {self._dim}")
+        u_sq = float(u @ u)
+        n = self._n
+        if n == 0:
+            return u, u_sq, np.empty(0)
+        return u, u_sq, kernel_row(self.kernel, self._rows[:n], self._sq_norms[:n], u, u_sq)
+
+    def _output(self, k: np.ndarray) -> complex:
+        y = k @ self._alpha[: self._n]
+        return complex(2.0 * y[0], 2.0 * y[1])
+
+    def _novel(self, u_sq: float, k: np.ndarray, e: complex) -> bool:
+        if self.novelty is None:
+            return True
+        if self._n > 0:
+            # ||Phi(z) - Phi(z_k)||^2 = 2 (kappa(z,z) - 2 kappa(z,z_k) + kappa(z_k,z_k))
+            kcc = self_kernel(self.kernel, self._sq_norms[: self._n])
+            dist_sq = 2.0 * (self_kernel(self.kernel, u_sq) + float(np.min(kcc - 2.0 * k)))
+            if math.sqrt(max(dist_sq, 0.0)) < self.novelty.delta1:
+                return False
+        return abs(e) >= self.novelty.delta2
 
     def predict(self, z) -> complex:
         """Filter output at z; an empty dictionary predicts 0."""
-        z = self._coerce(z)
-        if self._n == 0:
-            return 0j
-        k = kernel_eval_many(self.kernel, z, self._centers[: self._n])
-        a = self._coeffs[: self._n].real
-        b = self._coeffs[: self._n].imag
-        return complex((a + b) @ k + 1j * ((a - b) @ k))
+        return self._output(self._row(z)[2])
 
     def admit(self, z, e: complex) -> bool:
         """Novelty decision for a candidate center with prediction error e."""
-        if self.novelty is None:
-            return True
-        z = self._coerce(z)
-        if self._n > 0:
-            k_zz = kernel_eval(self.kernel, z, z)
-            k_cross = kernel_eval_many(self.kernel, z, self._centers[: self._n])
-            dist_sq = 2.0 * (k_zz - 2.0 * k_cross + self._self_k[: self._n])
-            dis = float(np.sqrt(max(np.min(dist_sq), 0.0)))
-            if dis < self.novelty.delta1:
-                return False
-        if abs(e) < self.novelty.delta2:
-            return False
-        return True
+        _, u_sq, k = self._row(z)
+        return self._novel(u_sq, k, e)
 
     def step(self, z, d: complex) -> StepResult:
         """Process one sample: predict, measure the error, maybe grow."""
-        z = self._coerce(z)
+        u, u_sq, k = self._row(z)
         d = complex(d)
-        if not (cmath.isfinite(d)):
+        if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; step rejected")
-        prediction = self.predict(z)
+        prediction = self._output(k)
         e = d - prediction
-        admitted = self.admit(z, e)
+        admitted = self._novel(u_sq, k, e)
         if admitted:
-            k_zz = kernel_eval(self.kernel, z, z)
-            gamma = 2.0 * k_zz if self.normalized else 1.0
-            a = self.mu * (e.real + e.imag) / gamma
-            b = self.mu * (e.real - e.imag) / gamma
-            self._append(z, complex(a, b), k_zz)
+            gamma = 2.0 * self_kernel(self.kernel, u_sq) if self.normalized else 1.0
+            self._append(u, u_sq, self.mu / gamma * e)
         return StepResult(prediction=prediction, error=e, admitted=admitted)
 
-    def _append(self, z: np.ndarray, coeff: complex, self_k: float) -> None:
+    def _append(self, u: np.ndarray, u_sq: float, alpha: complex) -> None:
+        n = self._n
         if self._dim is None:
-            self._dim = z.size
-            self._centers = np.empty((16, self._dim), dtype=complex)
-            self._coeffs = np.empty(16, dtype=complex)
-            self._self_k = np.empty(16, dtype=float)
-        elif self._n == self._centers.shape[0]:
-            cap = 2 * self._n
-            for name in ("_centers", "_coeffs", "_self_k"):
+            self._dim = u.size // 2
+            self._rows = np.empty((16, u.size))
+            self._sq_norms = np.empty(16)
+            self._alpha = np.empty((16, 2))
+        elif n == self._rows.shape[0]:
+            for name in ("_rows", "_sq_norms", "_alpha"):
                 old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                new[: self._n] = old[: self._n]
+                new = np.empty((2 * n,) + old.shape[1:])
+                new[:n] = old
                 setattr(self, name, new)
-        self._centers[self._n] = z
-        self._coeffs[self._n] = coeff
-        self._self_k[self._n] = self_k
-        self._n += 1
+        self._rows[n] = u
+        self._sq_norms[n] = u_sq
+        self._alpha[n] = (alpha.real, alpha.imag)
+        self._n = n + 1
 
     def save_dictionary(self, path) -> None:
         """Write the dictionary as flat text, one line per entry.
 
-        Each line holds the center components followed by the
-        coefficient, every complex number as a real/imaginary pair of
-        decimal floats, full double precision.
+        Each line holds the center components followed by the (a, b)
+        coefficient a + ib, every complex number as a real/imaginary
+        pair of decimal floats, full double precision.
         """
         with open(path, "w", encoding="utf-8") as fh:
-            for row, coeff in zip(self._centers[: self._n], self._coeffs[: self._n]):
+            for row, coeff in zip(self.centers, self.coeffs):
                 parts = []
                 for v in row:
                     parts.append(f"{float(v.real)!r} {float(v.imag)!r}")

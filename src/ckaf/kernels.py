@@ -4,7 +4,7 @@ Complex vectors z = x + iy in C^nu are identified with real vectors
 (x, y) in R^(2*nu), all real parts first, then all imaginary parts.
 A real kernel kappa on R^(2*nu) then induces a complex RKHS via the
 complexified feature map Phi(z) = phi(z) + i*phi(z), whose inner
-product and distance reduce to the closed forms implemented here:
+product and distance reduce to kernel values:
 
     <Phi(z1), Phi(z2)> = 2*kappa(z1, z2)
     ||Phi(z1) - Phi(z2)||^2 = 2*(kappa(z1,z1) - 2*kappa(z1,z2) + kappa(z2,z2))
@@ -53,80 +53,71 @@ class RealKernel:
         return cls(POLYNOMIAL, degree=int(degree))
 
 
-def as_cvec(z) -> np.ndarray:
-    """Coerce to a 1-D complex vector, rejecting non-finite entries."""
+def embed(z) -> np.ndarray:
+    """Map z in C^nu to (Re z_1..Re z_nu, Im z_1..Im z_nu) in R^(2*nu).
+
+    z must be a 1-D complex vector with finite entries.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim != 1:
         raise ValueError(f"expected a 1-D complex vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("complex input vector contains non-finite entries")
-    return z
-
-
-def embed(z) -> np.ndarray:
-    """Map z in C^nu to (Re z_1..Re z_nu, Im z_1..Im z_nu) in R^(2*nu)."""
-    z = as_cvec(z)
     return np.concatenate([z.real, z.imag])
 
 
-def unembed(v) -> np.ndarray:
-    """Inverse of embed: (x, y) in R^(2*nu) back to x + iy in C^nu."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size % 2:
-        raise ValueError(f"embedded vector must have even length, got {v.size}")
-    nu = v.size // 2
-    return v[:nu] + 1j * v[nu:]
+def kernel_row(k: RealKernel, rows: np.ndarray, sq_norms: np.ndarray, u: np.ndarray, u_sq: float) -> np.ndarray:
+    """kappa(u, c) for every embedded row c of `rows`, from one GEMV.
+
+    rows is an (m, 2*nu) float array of embedded centers with squared
+    norms sq_norms, u an embedded input with squared norm u_sq. Both
+    kernels need only G = rows @ u: the Gaussian takes
+    ||c - u||^2 = ||c||^2 + ||u||^2 - 2G, clamped at 0 because the
+    expansion can round below it, and the polynomial kernel (1 + G)^p.
+    This is the hot path of the kernel filters.
+    """
+    if k.kind == GAUSSIAN:
+        d2 = sq_norms + u_sq
+        d2 -= rows @ (u + u)  # u + u is exact, so this subtracts exactly 2G
+        np.maximum(d2, 0.0, out=d2)
+        d2 /= -(k.sigma * k.sigma)
+        return np.exp(d2, out=d2)
+    g = rows @ u
+    g += 1.0
+    return np.power(g, k.degree, out=g)
 
 
-def _check_same_dim(z1: np.ndarray, z2: np.ndarray) -> None:
-    if z1.shape[-1] != z2.shape[-1]:
-        raise ValueError(f"dimension mismatch: {z1.shape[-1]} vs {z2.shape[-1]}")
+def self_kernel(k: RealKernel, sq_norm):
+    """kappa(c, c) from the squared norm of the embedded c."""
+    if k.kind == GAUSSIAN:
+        return 1.0
+    return (1.0 + sq_norm) ** k.degree
 
 
 def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Evaluate kappa(z, c) for every row c of `centers`.
 
     z is a length-nu complex vector, centers an (m, nu) complex array;
-    returns a length-m float array. This is the hot path of the kernel
-    filters, so both kernels are evaluated without forming the explicit
-    R^(2*nu) embedding (the results are identical).
+    returns a length-m float array, computed by kernel_row on the
+    R^(2*nu) embeddings.
     """
     z = np.asarray(z, dtype=complex)
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    _check_same_dim(z, centers)
-    if k.kind == GAUSSIAN:
-        diff = centers - z
-        dist_sq = np.sum(diff.real**2 + diff.imag**2, axis=1)
-        return np.exp(-dist_sq / (k.sigma * k.sigma))
-    # polynomial: u.v on the embedding equals Re(z1).Re(z2) + Im(z1).Im(z2)
-    dot = centers.real @ z.real + centers.imag @ z.imag
-    return (1.0 + dot) ** k.degree
+    if z.shape[-1] != centers.shape[-1]:
+        raise ValueError(f"dimension mismatch: {z.shape[-1]} vs {centers.shape[-1]}")
+    rows = np.concatenate([centers.real, centers.imag], axis=1)
+    u = np.concatenate([z.real, z.imag])
+    return kernel_row(k, rows, np.einsum("ij,ij->i", rows, rows), u, float(u @ u))
 
 
 def kernel_eval(k: RealKernel, z1, z2) -> float:
     """kappa evaluated on the R^(2*nu) identification of z1, z2."""
-    z1 = as_cvec(z1)
-    z2 = as_cvec(z2)
-    return float(kernel_eval_many(k, z1, z2[np.newaxis, :])[0])
-
-
-def complexified_inner(k: RealKernel, z1, z2) -> complex:
-    """Inner product <Phi(z1), Phi(z2)> in the complexified RKHS.
-
-    Because the feature map's real and imaginary parts coincide, the
-    imaginary part cancels and the value is 2*kappa(z1, z2) + 0j.
-    """
-    return complex(2.0 * kernel_eval(k, z1, z2))
-
-
-def feature_distance_sq(k: RealKernel, z1, z2) -> float:
-    """Squared distance ||Phi(z1) - Phi(z2)||^2 in the complexified RKHS."""
-    z1 = as_cvec(z1)
-    z2 = as_cvec(z2)
-    k11 = kernel_eval(k, z1, z1)
-    k12 = kernel_eval(k, z1, z2)
-    k22 = kernel_eval(k, z2, z2)
-    return 2.0 * (k11 - 2.0 * k12 + k22)
+    u, v = embed(z1), embed(z2)
+    if u.size != v.size:
+        raise ValueError(f"dimension mismatch: {u.size // 2} vs {v.size // 2}")
+    # a one-row GEMV sums like the dot products of the norms, so z1 == z2
+    # gives a distance of exactly 0
+    return float(kernel_row(k, v[np.newaxis, :], np.array([v @ v]), u, float(u @ u))[0])
 
 
 def polynomial_feature_map(u, degree: int) -> np.ndarray:

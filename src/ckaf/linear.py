@@ -9,6 +9,8 @@ g^H x*, normalized by the augmented-input power ||x||^2 + ||x*||^2.
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Optional
 
 import numpy as np
@@ -54,26 +56,28 @@ class ComplexNlms:
 
     def predict(self, x) -> complex:
         """Filter output h^H x (+ g^H x* when widely linear)."""
-        x = self._coerce(x)
+        return self._output(self._coerce(x))
+
+    def _output(self, x: np.ndarray) -> complex:
         y = np.vdot(self.h, x)
         if self.widely_linear:
-            y = y + np.vdot(self.g, np.conj(x))
+            y += np.vdot(self.g, x.conj())
         return complex(y)
 
     def update(self, x, d: complex) -> tuple[complex, complex]:
         """One normalized-LMS step; returns (prediction, error), both pre-update."""
         x = self._coerce(x)
         d = complex(d)
-        if not np.all(np.isfinite(x)) or not (np.isfinite(d.real) and np.isfinite(d.imag)):
+        power = np.vdot(x, x).real
+        # a non-finite entry of x makes its power non-finite
+        if not (math.isfinite(power) and cmath.isfinite(d)):
             raise ValueError("non-finite input sample; update rejected")
-        y = self.predict(x)
+        y = self._output(x)
         e = d - y
-        power = float(np.sum(x.real**2 + x.imag**2))
         if self.widely_linear:
-            scale = self.mu / (2.0 * power + self.eps)
-            self.h = self.h + scale * np.conj(e) * x
-            self.g = self.g + scale * np.conj(e) * np.conj(x)
+            step = self.mu / (2.0 * power + self.eps) * e.conjugate()
+            self.h += step * x
+            self.g += step * x.conj()
         else:
-            scale = self.mu / (power + self.eps)
-            self.h = self.h + scale * np.conj(e) * x
+            self.h += self.mu / (power + self.eps) * e.conjugate() * x
         return y, e

@@ -150,6 +150,33 @@ class TestNovelty:
         assert not f.admit([complex(r_in, 0)], 10.0)
         assert f.admit([complex(r_out, 0)], 10.0)
 
+    def test_distance_threshold_polynomial(self):
+        # ||Phi(z) - Phi(c)||^2 = 2 (kappa(z,z) - 2 kappa(z,c) + kappa(c,c))
+        k = RealKernel.polynomial(2)
+        kappa = lambda a, b: (1.0 + a.real @ b.real + a.imag @ b.imag) ** 2
+        rng = np.random.default_rng(8)
+        c = np.array([0.3 - 0.2j, 0.1j])
+        zs = c + 0.05 * (rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)))
+        dist = np.array([np.sqrt(2.0 * (kappa(z, z) - 2.0 * kappa(z, c) + kappa(c, c))) for z in zs])
+        d1 = float(np.median(dist))
+        f = CklmsFilter(k, mu=0.5, novelty=NoveltyCriterion(d1, 0.0))
+        f.step(c, 1 + 1j)
+        decided = np.abs(dist - d1) > 1e-9
+        assert decided.sum() > 190
+        for z, far in zip(zs[decided], dist[decided] >= d1):
+            assert f.admit(z, 10.0) == far
+
+    def test_repeated_center_distance_zero(self):
+        # the norm expansion leaves only rounding residue, far below 1e-6
+        rng = np.random.default_rng(9)
+        for k in (RealKernel.gaussian(5.0), RealKernel.polynomial(2)):
+            f = CklmsFilter(k, mu=0.5, novelty=NoveltyCriterion(1e-6, 0.0))
+            zs, ds = _random_stream(rng, 40, 6)
+            for z, d in zip(zs, ds):
+                f.step(z, d)
+            for z in f.centers:
+                assert not f.admit(z, 10.0)
+
     def test_novelty_none_admits_everything(self):
         rng = np.random.default_rng(1)
         f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
@@ -172,6 +199,23 @@ class TestNovelty:
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
             NoveltyCriterion(-0.1, 0.2)
+
+
+@pytest.mark.parametrize("kernel", [RealKernel.gaussian(1.0), RealKernel.polynomial(2)], ids=["gaussian", "polynomial"])
+def test_step_agrees_with_predict_and_admit(kernel):
+    rng = np.random.default_rng(10)
+    f = CklmsFilter(kernel, mu=0.3, novelty=NoveltyCriterion(0.5, 0.3))
+    zs, ds = _random_stream(rng, 300, 1)
+    outcomes = set()
+    for z, d in zip(zs, ds):
+        y = f.predict(z)
+        admitted = f.admit(z, d - y)
+        res = f.step(z, d)
+        assert res.prediction == y
+        assert res.error == d - y
+        assert res.admitted == admitted
+        outcomes.add("admitted" if admitted else "distance" if abs(d - y) >= 0.3 else "error")
+    assert outcomes == {"admitted", "distance", "error"}
 
 
 def test_bookkeeping_equivalence_random_streams():

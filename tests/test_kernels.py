@@ -5,14 +5,30 @@ import pytest
 
 from ckaf.kernels import (
     RealKernel,
-    complexified_inner,
     embed,
-    feature_distance_sq,
     kernel_eval,
     kernel_eval_many,
     polynomial_feature_map,
-    unembed,
 )
+
+
+def unembed(v):
+    """Reference inverse of embed: (x, y) in R^(2*nu) back to x + iy."""
+    nu = v.size // 2
+    return v[:nu] + 1j * v[nu:]
+
+
+def complexified_inner(k, z1, z2):
+    """Reference <Phi(z1), Phi(z2)> for Phi = phi + i*phi, assembled from
+    real inner products: <a + ib, c + id> = <a,c> + <b,d> + i(<b,c> - <a,d>)
+    with a = b = phi(z1) and c = d = phi(z2), each equal to kappa(z1, z2)."""
+    kv = kernel_eval(k, z1, z2)
+    return complex(kv + kv, kv - kv)
+
+
+def feature_distance_sq(k, z1, z2):
+    """Reference ||Phi(z1) - Phi(z2)||^2 from three kernel values."""
+    return 2.0 * (kernel_eval(k, z1, z1) - 2.0 * kernel_eval(k, z1, z2) + kernel_eval(k, z2, z2))
 
 
 def test_embed_scalar():
@@ -211,3 +227,36 @@ def test_polynomial_feature_map_reproduces_kernel(degree):
 def test_polynomial_feature_map_unsupported_degree():
     with pytest.raises(ValueError):
         polynomial_feature_map([1.0], 3)
+
+
+def _direct_rows(k, z, centers):
+    """kappa(z, c) per center from the direct difference (Gaussian) or the
+    direct dot product of the embeddings (polynomial)."""
+    if k.kind == "gaussian":
+        diff = centers - z
+        return np.exp(-np.sum(diff.real**2 + diff.imag**2, axis=1) / k.sigma**2)
+    return (1.0 + centers.real @ z.real + centers.imag @ z.imag) ** k.degree
+
+
+def test_norm_expansion_matches_direct_difference():
+    rng = np.random.default_rng(12)
+    for k in (RealKernel.gaussian(5.0), RealKernel.gaussian(0.7), RealKernel.polynomial(2)):
+        for m in (1, 3, 17, 500):
+            z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            centers = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
+            np.testing.assert_allclose(kernel_eval_many(k, z, centers), _direct_rows(k, z, centers), rtol=1e-13, atol=1e-13)
+
+
+def test_norm_expansion_repeated_center_clamped():
+    # ||c||^2 + ||z||^2 - 2 c.z can round below 0 at c == z; the clamp keeps
+    # kappa <= 1, and the squared distance stays within rounding of 0
+    k = RealKernel.gaussian(0.05)
+    rng = np.random.default_rng(13)
+    for m in (2, 5, 64):
+        for _ in range(50):
+            centers = 3.0 * (rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6)))
+            i = int(rng.integers(m))
+            row = kernel_eval_many(k, centers[i], centers)
+            assert row[i] <= 1.0
+            dist_sq = -k.sigma**2 * np.log(row[i])
+            assert dist_sq <= 16 * np.finfo(float).eps * np.sum(np.abs(centers[i]) ** 2)
