@@ -18,7 +18,7 @@ from .channel import (
     run_channel,
     run_experiment,
 )
-from .cklms import CklmsFilter, NoveltyCriterion, StepResult, instantaneous_cost_check, load_dictionary
+from .cklms import CklmsFilter, NoveltyCriterion, RunResult, StepResult, instantaneous_cost_check, load_dictionary
 from .kernels import (
     RealKernel,
     embed,
@@ -44,6 +44,7 @@ __all__ = [
     "LearningCurve",
     "NoveltyCriterion",
     "RealKernel",
+    "RunResult",
     "StepResult",
     "WirtingerPair",
     "build_dataset",

@@ -144,21 +144,15 @@ def _make_filter(name: str, n_taps: int, mu: float, kernel: RealKernel, novelty:
 
 
 def _run_online(name: str, filt, dataset: EqualizationDataset, run: int) -> tuple[np.ndarray, np.ndarray]:
-    n = len(dataset)
-    err_sq = np.empty(n, dtype=float)
-    sizes = np.zeros(n, dtype=float)
-    kernel_filter = isinstance(filt, CklmsFilter)
-    for i in range(n):
-        if kernel_filter:
-            res = filt.step(dataset.inputs[i], dataset.targets[i])
-            e = res.error
-            sizes[i] = filt.dictionary_size
-        else:
-            _, e = filt.update(dataset.inputs[i], dataset.targets[i])
-        err_sq[i] = e.real * e.real + e.imag * e.imag
-        if not math.isfinite(err_sq[i]):
-            raise RuntimeError(f"{name} diverged: non-finite error at step {i} of run {run}")
-    return err_sq, sizes
+    """One filter over one stream: per-step squared errors and dictionary sizes."""
+    result = filt.run(dataset.inputs, dataset.targets)
+    if name == "cklms":
+        errors, sizes = result.errors, np.cumsum(result.admitted, dtype=float)
+    else:
+        errors, sizes = result, np.zeros(len(dataset))
+    if errors.size < len(dataset):
+        raise RuntimeError(f"{name} diverged: non-finite error at step {errors.size - 1} of run {run}")
+    return errors.real * errors.real + errors.imag * errors.imag, sizes
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:

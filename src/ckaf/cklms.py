@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import RealKernel, embed, kernel_row, polynomial_feature_map, self_kernel
+from .kernels import GAUSSIAN, RealKernel, embed, kernel_row, polynomial_feature_map, row_sq_norms, self_kernel
 from .wirtinger import GradientCheckReport, WirtingerPair, check_gradient
 
 
@@ -50,6 +50,14 @@ class StepResult(NamedTuple):
     prediction: complex
     error: complex
     admitted: bool
+
+
+class RunResult(NamedTuple):
+    """Per-step outputs of CklmsFilter.run, one entry per sample."""
+
+    predictions: np.ndarray  # complex
+    errors: np.ndarray  # complex
+    admitted: np.ndarray  # bool
 
 
 class CklmsFilter:
@@ -105,55 +113,103 @@ class CklmsFilter:
         alpha = self._alpha[: self._n]
         return (alpha[:, 0] + alpha[:, 1]) + 1j * (alpha[:, 0] - alpha[:, 1])
 
-    def _row(self, z) -> tuple[np.ndarray, float, np.ndarray]:
-        """Validate and embed z once; return the embedding u, its squared
-        norm, and the one kernel row kappa(z, z_k) over the centers."""
+    def _check_width(self, width: int) -> None:
+        if self._dim is not None and width != 2 * self._dim:
+            raise ValueError(f"input length {width // 2} does not match dictionary dimension {self._dim}")
+
+    def _sample(self, z) -> tuple[np.ndarray, float]:
+        """Validate and embed one input vector; return u and its squared norm."""
         u = embed(z)
-        if self._dim is not None and u.size != 2 * self._dim:
-            raise ValueError(f"input length {u.size // 2} does not match dictionary dimension {self._dim}")
-        u_sq = float(u @ u)
+        if u.ndim != 1:
+            raise ValueError(f"expected a 1-D complex vector, got shape {np.shape(z)}")
+        self._check_width(u.size)
+        return u, float(u @ u)
+
+    def _row(self, u: np.ndarray, u_sq: float) -> np.ndarray:
+        """The one kernel row kappa(z, z_k) over the centers, from the embedding u of z."""
         n = self._n
         if n == 0:
-            return u, u_sq, np.empty(0)
-        return u, u_sq, kernel_row(self.kernel, self._rows[:n], self._sq_norms[:n], u, u_sq)
+            return np.empty(0)
+        return kernel_row(self.kernel, self._rows[:n], self._sq_norms[:n], u, u_sq)
 
     def _output(self, k: np.ndarray) -> complex:
-        y = k @ self._alpha[: self._n]
-        return complex(2.0 * y[0], 2.0 * y[1])
+        y_re, y_im = (k @ self._alpha[: self._n]).tolist()
+        return complex(2.0 * y_re, 2.0 * y_im)
 
     def _novel(self, u_sq: float, k: np.ndarray, e: complex) -> bool:
         if self.novelty is None:
             return True
-        if self._n > 0:
+        # the error gate is one comparison, so it goes first; `not >=` rejects a NaN error
+        if not abs(e) >= self.novelty.delta2:
+            return False
+        if self._n == 0:
+            return True
+        if self.kernel.kind == GAUSSIAN:
+            # kappa(z, z) = kappa(z_k, z_k) = 1, so ||Phi(z) - Phi(z_k)||^2 = 4 (1 - kappa(z, z_k))
+            dist_sq = 4.0 * (1.0 - float(k.max()))
+        else:
             # ||Phi(z) - Phi(z_k)||^2 = 2 (kappa(z,z) - 2 kappa(z,z_k) + kappa(z_k,z_k))
             kcc = self_kernel(self.kernel, self._sq_norms[: self._n])
             dist_sq = 2.0 * (self_kernel(self.kernel, u_sq) + float(np.min(kcc - 2.0 * k)))
-            if math.sqrt(max(dist_sq, 0.0)) < self.novelty.delta1:
-                return False
-        return abs(e) >= self.novelty.delta2
+        return not math.sqrt(max(dist_sq, 0.0)) < self.novelty.delta1
 
-    def predict(self, z) -> complex:
-        """Filter output at z; an empty dictionary predicts 0."""
-        return self._output(self._row(z)[2])
-
-    def admit(self, z, e: complex) -> bool:
-        """Novelty decision for a candidate center with prediction error e."""
-        _, u_sq, k = self._row(z)
-        return self._novel(u_sq, k, e)
-
-    def step(self, z, d: complex) -> StepResult:
-        """Process one sample: predict, measure the error, maybe grow."""
-        u, u_sq, k = self._row(z)
-        d = complex(d)
-        if not cmath.isfinite(d):
-            raise ValueError("non-finite desired value; step rejected")
+    def _step(self, u: np.ndarray, u_sq: float, d: complex) -> StepResult:
+        """The recursion on one validated sample: predict, measure the error, maybe grow."""
+        k = self._row(u, u_sq)
         prediction = self._output(k)
         e = d - prediction
         admitted = self._novel(u_sq, k, e)
         if admitted:
             gamma = 2.0 * self_kernel(self.kernel, u_sq) if self.normalized else 1.0
             self._append(u, u_sq, self.mu / gamma * e)
-        return StepResult(prediction=prediction, error=e, admitted=admitted)
+        return StepResult(prediction, e, admitted)
+
+    def predict(self, z) -> complex:
+        """Filter output at z; an empty dictionary predicts 0."""
+        return self._output(self._row(*self._sample(z)))
+
+    def admit(self, z, e: complex) -> bool:
+        """Novelty decision for a candidate center with prediction error e."""
+        u, u_sq = self._sample(z)
+        return self._novel(u_sq, self._row(u, u_sq), e)
+
+    def step(self, z, d: complex) -> StepResult:
+        """Process one sample: predict, measure the error, maybe grow."""
+        u, u_sq = self._sample(z)
+        d = complex(d)
+        if not cmath.isfinite(d):
+            raise ValueError("non-finite desired value; step rejected")
+        return self._step(u, u_sq, d)
+
+    def run(self, inputs, targets) -> RunResult:
+        """Process a whole stream: an (N, nu) complex block and its N targets.
+
+        The block is validated and embedded once, and a bad block raises
+        before any state changes. Each sample then takes the recursion of
+        `step`, so the result equals N calls of `step` bit for bit. The run
+        stops after the first step whose squared error is not finite; the
+        returned arrays then end at that step.
+        """
+        rows = embed(inputs)
+        if rows.ndim != 2:
+            raise ValueError(f"expected an (N, nu) block of complex inputs, got shape {np.shape(inputs)}")
+        self._check_width(rows.shape[1])
+        targets = np.asarray(targets, dtype=complex)
+        if targets.shape != rows.shape[:1]:
+            raise ValueError(f"{rows.shape[0]} inputs but targets of shape {targets.shape}")
+        if not np.isfinite(targets).all():
+            raise ValueError("non-finite desired value; run rejected")
+        n = targets.size
+        predictions = np.empty(n, dtype=complex)
+        errors = np.empty(n, dtype=complex)
+        admitted = np.zeros(n, dtype=bool)
+        for i, (u, u_sq, d) in enumerate(zip(rows, map(float, row_sq_norms(rows)), map(complex, targets))):
+            predictions[i], e, admitted[i] = self._step(u, u_sq, d)
+            errors[i] = e
+            if not math.isfinite(e.real * e.real + e.imag * e.imag):
+                n = i + 1
+                break
+        return RunResult(predictions[:n], errors[:n], admitted[:n])
 
     def _append(self, u: np.ndarray, u_sq: float, alpha: complex) -> None:
         n = self._n

@@ -70,8 +70,20 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     if args.subcommand == "equalize":
         if args.algorithm == "all" and args.mu is not None:
             parser.error("--mu cannot be combined with --algorithm all; per-algorithm defaults apply")
+        if args.mu is not None:
+            # `not >=` also rejects NaN
+            if args.algorithm == "cklms" and not args.mu > 0:
+                parser.error(f"--mu must be positive for cklms, got {args.mu}")
+            if not args.mu >= 0:
+                parser.error(f"--mu must be nonnegative, got {args.mu}")
         if not 0.0 <= args.rho <= 1.0:
             parser.error(f"--rho must lie in [0, 1], got {args.rho}")
+        if math.isnan(args.snr_db):
+            parser.error("--snr-db must not be NaN")
+        if args.kernel == "gaussian" and not args.sigma > 0:
+            parser.error(f"--sigma must be positive, got {args.sigma}")
+        if args.kernel == "polynomial" and args.degree < 1:
+            parser.error(f"--degree must be >= 1, got {args.degree}")
         if args.samples < 1 or args.runs < 1 or args.smooth < 1:
             parser.error("--samples, --runs and --smooth must be positive")
         if args.filter_length < 0 or args.delay < 0:

@@ -56,14 +56,25 @@ class RealKernel:
 def embed(z) -> np.ndarray:
     """Map z in C^nu to (Re z_1..Re z_nu, Im z_1..Im z_nu) in R^(2*nu).
 
-    z must be a 1-D complex vector with finite entries.
+    z must be a 1-D complex vector, or an (N, nu) block of them that is
+    embedded row by row, with finite entries.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.ndim != 1:
-        raise ValueError(f"expected a 1-D complex vector, got shape {z.shape}")
+    if z.ndim > 2:
+        raise ValueError(f"expected a complex vector or an (N, nu) block of them, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("complex input vector contains non-finite entries")
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+def row_sq_norms(rows: np.ndarray) -> np.ndarray:
+    """||r||^2 for every row r of a 2-D real or complex array.
+
+    Each row is summed by one BLAS dot product, as u @ u or np.vdot(x, x)
+    sums a single vector, so a row's norm is the same to the bit whether
+    it is computed here for a whole block or for one sample.
+    """
+    return np.matmul(rows.conj()[:, np.newaxis, :], rows[:, :, np.newaxis])[:, 0, 0].real
 
 
 def kernel_row(k: RealKernel, rows: np.ndarray, sq_norms: np.ndarray, u: np.ndarray, u_sq: float) -> np.ndarray:

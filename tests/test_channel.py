@@ -14,6 +14,7 @@ from ckaf.channel import (
     run_experiment,
 )
 from ckaf.cklms import NoveltyCriterion
+from ckaf.linear import ComplexNlms
 
 RHO_CIRCULAR = math.sqrt(2.0) / 2.0
 
@@ -172,6 +173,22 @@ class TestExperiment:
         # NLMS is unstable for mu > 2; the harness must flag the blow-up
         with pytest.raises(RuntimeError, match="non-finite error at step"):
             run_experiment(["nclms"], ChannelConfig(), n_samples=3000, runs=1, mu={"nclms": 10.0}, seed=2)
+
+    def test_divergence_names_first_nonfinite_squared_error(self):
+        cfg = ChannelConfig()
+        source_seed, noise_seed = np.random.SeedSequence(2).spawn(1)[0].spawn(2)
+        s = generate_source(3000, cfg.rho, cfg.amplitude, seed=source_seed)
+        ds = build_dataset(run_channel(cfg, s, seed=noise_seed), s, L=5, D=2)
+        f = ComplexNlms(6, mu=10.0, widely_linear=True)
+        for step, (x, d) in enumerate(zip(ds.inputs, ds.targets)):
+            e = f.update(x, d)[1]
+            if not math.isfinite(e.real * e.real + e.imag * e.imag):
+                break
+        else:
+            pytest.fail("the reference loop did not diverge")
+        message = f"wl-nclms diverged: non-finite error at step {step} of run 0"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            run_experiment(["wl-nclms"], cfg, n_samples=3000, runs=1, mu={"wl-nclms": 10.0}, seed=2)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

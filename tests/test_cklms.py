@@ -295,3 +295,73 @@ def test_instantaneous_cost_gradient_surrogate():
     polynomial-feature surrogate."""
     reports = instantaneous_cost_check(n_trials=10, tol=1e-5, rng_seed=0)
     assert all(r.passed for r in reports)
+
+
+def _snapshot(f):
+    return f.dictionary_size, f.centers.copy(), f.coeffs.copy()
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "plain"])
+@pytest.mark.parametrize("novelty", [None, NoveltyCriterion(0.5, 0.3)], ids=["all", "novelty"])
+@pytest.mark.parametrize("kernel", [RealKernel.gaussian(1.0), RealKernel.polynomial(2)], ids=["gaussian", "polynomial"])
+def test_run_matches_step_loop(kernel, novelty, normalized):
+    """run over a stream gives the bits of step called on each sample."""
+    rng = np.random.default_rng(11)
+    zs, ds = _random_stream(rng, 300, 1)
+    zs *= 0.5  # keeps the polynomial filter finite
+    stepped = CklmsFilter(kernel, mu=0.1, normalized=normalized, novelty=novelty)
+    steps = [stepped.step(z, d) for z, d in zip(zs, ds)]
+    ran = CklmsFilter(kernel, mu=0.1, normalized=normalized, novelty=novelty)
+    result = ran.run(zs, ds)
+    assert result.predictions.dtype == complex and result.admitted.dtype == bool
+    assert np.array_equal(result.predictions, [s.prediction for s in steps])
+    assert np.array_equal(result.errors, [s.error for s in steps])
+    assert np.array_equal(result.admitted, [s.admitted for s in steps])
+    assert np.array_equal(ran.centers, stepped.centers)
+    assert np.array_equal(ran.coeffs, stepped.coeffs)
+    if novelty is not None:
+        outcomes = {"admitted" if s.admitted else "distance" if abs(s.error) >= 0.3 else "error" for s in steps}
+        assert outcomes == {"admitted", "distance", "error"}
+
+
+def test_run_continues_a_stepped_filter():
+    rng = np.random.default_rng(12)
+    zs, ds = _random_stream(rng, 60, 2)
+    kernel, novelty = RealKernel.gaussian(1.0), NoveltyCriterion(0.15, 0.2)
+    stepped = CklmsFilter(kernel, mu=0.5, novelty=novelty)
+    steps = [stepped.step(z, d) for z, d in zip(zs, ds)]
+    ran = CklmsFilter(kernel, mu=0.5, novelty=novelty)
+    first, second = ran.run(zs[:25], ds[:25]), ran.run(zs[25:], ds[25:])
+    assert np.array_equal(np.concatenate([first.errors, second.errors]), [s.error for s in steps])
+    assert np.array_equal(ran.coeffs, stepped.coeffs)
+
+
+def test_run_empty_stream():
+    f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
+    result = f.run(np.empty((0, 3), dtype=complex), [])
+    assert result.errors.size == 0 and f.dictionary_size == 0
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda zs, ds: (np.where(np.arange(40)[:, None] == 30, np.nan, zs), ds),
+        lambda zs, ds: (np.where(np.arange(40)[:, None] == 30, np.inf * 1j, zs), ds),
+        lambda zs, ds: (zs, np.where(np.arange(40) == 30, np.inf, ds)),
+        lambda zs, ds: (zs, np.where(np.arange(40) == 30, complex("nan"), ds)),
+        lambda zs, ds: (zs[:, :1], ds),
+        lambda zs, ds: (zs, ds[:-1]),
+        lambda zs, ds: (zs[0], ds[:1]),
+    ],
+    ids=["nan-input", "inf-input", "inf-target", "nan-target", "taps", "lengths", "one-dimensional"],
+)
+def test_run_rejects_bad_block_state_unchanged(corrupt):
+    rng = np.random.default_rng(13)
+    f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5, novelty=NoveltyCriterion(0.15, 0.2))
+    f.run(*_random_stream(rng, 10, 2))
+    before = _snapshot(f)
+    with pytest.raises(ValueError):
+        f.run(*corrupt(*_random_stream(rng, 40, 2)))
+    after = _snapshot(f)
+    assert after[0] == before[0]
+    assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])

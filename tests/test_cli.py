@@ -172,6 +172,29 @@ class TestMain:
     def test_bad_arguments_exit_2(self):
         assert cli.main(["equalize", "--samples", "-5"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma", "0"],
+            ["--kernel", "polynomial", "--degree", "0"],
+            ["--snr-db", "nan"],
+            ["--algorithm", "cklms", "--mu", "0"],
+            ["--algorithm", "nclms", "--mu", "-1"],
+        ],
+        ids=["sigma", "degree", "snr-db", "mu-cklms", "mu-nclms"],
+    )
+    def test_invalid_model_argument_exits_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["equalize", *flags, "--samples", "30", "--runs", "1", "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_mu_valid_for_linear_filters(self, tmp_path):
+        for algorithm in ("nclms", "wl-nclms"):
+            out = tmp_path / f"{algorithm}.csv"
+            args = ["equalize", "--algorithm", algorithm, "--mu", "0", "--samples", "30", "--runs", "1"]
+            assert cli.main([*args, "--output", str(out)]) == 0
+
     def test_gradcheck_passes(self, capsys):
         assert cli.main(["gradcheck"]) == 0
         out = capsys.readouterr().out

@@ -147,3 +147,83 @@ def test_weights_finite_after_updates():
         d = complex(rng.standard_normal(), rng.standard_normal())
         f.update(x, d)
     assert np.all(np.isfinite(f.h)) and np.all(np.isfinite(f.g))
+
+
+def _stream(seed, n, n_taps, scale=1.0):
+    rng = np.random.default_rng(seed)
+    xs = scale * (rng.standard_normal((n, n_taps)) + 1j * rng.standard_normal((n, n_taps)))
+    ds = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return xs, ds
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_run_matches_update_loop(wl):
+    """run over a stream gives the bits of update called on each sample."""
+    xs, ds = _stream(20, 500, 4)
+    updated = ComplexNlms(4, mu=0.4, widely_linear=wl)
+    errors = [updated.update(x, d)[1] for x, d in zip(xs, ds)]
+    ran = ComplexNlms(4, mu=0.4, widely_linear=wl)
+    got = ran.run(xs, ds)
+    assert got.dtype == complex
+    assert np.array_equal(got, errors)
+    assert np.array_equal(ran.h, updated.h)
+    if wl:
+        assert np.array_equal(ran.g, updated.g)
+
+
+def test_widely_linear_branches_assignable():
+    f = ComplexNlms(2, mu=0.5, widely_linear=True)
+    f.h = [1.0, 0j]
+    f.g = np.array([0j, 1j])
+    np.testing.assert_array_equal(f.h, [1.0, 0j])
+    np.testing.assert_array_equal(f.g, [0j, 1j])
+    # h^H x + g^H x* = 1 * (2 + i) + conj(i) * conj(3 - i) = (2 + i) + (-i)(3 + i)
+    assert f.predict([2 + 1j, 3 - 1j]) == (2 + 1j) + (-1j) * (3 + 1j)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_run_stops_at_first_nonfinite_squared_error(wl):
+    # mu = 10 is far outside the NLMS stability range (0, 2)
+    xs, ds = _stream(21, 3000, 3)
+    ref = ComplexNlms(3, mu=10.0, widely_linear=wl)
+    errors = []
+    for x, d in zip(xs, ds):
+        e = ref.update(x, d)[1]
+        errors.append(e)
+        if not np.isfinite(e.real * e.real + e.imag * e.imag):
+            break
+    assert len(errors) < len(ds)
+    assert np.array_equal(ComplexNlms(3, mu=10.0, widely_linear=wl).run(xs, ds), errors)
+
+
+def _huge_row(xs):
+    """The block with a finite entry too large for the power of its row to be finite."""
+    xs = xs.copy()
+    xs[30, 0] = 1e200
+    return xs
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda xs, ds: (np.where(np.arange(40)[:, None] == 30, np.nan, xs), ds),
+        lambda xs, ds: (np.where(np.arange(40)[:, None] == 30, np.inf, xs), ds),
+        lambda xs, ds: (_huge_row(xs), ds),
+        lambda xs, ds: (xs, np.where(np.arange(40) == 30, np.inf, ds)),
+        lambda xs, ds: (xs, np.where(np.arange(40) == 30, complex("nan"), ds)),
+        lambda xs, ds: (xs[:, :2], ds),
+        lambda xs, ds: (xs, ds[:-1]),
+        lambda xs, ds: (xs[0], ds[:1]),
+    ],
+    ids=["nan-input", "inf-input", "power-overflow", "inf-target", "nan-target", "taps", "lengths", "one-dimensional"],
+)
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_run_rejects_bad_block_state_unchanged(wl, corrupt):
+    f = ComplexNlms(3, mu=0.5, widely_linear=wl)
+    f.run(*_stream(22, 10, 3))
+    h, g = f.h.copy(), None if f.g is None else f.g.copy()
+    with pytest.raises(ValueError):
+        f.run(*corrupt(*_stream(23, 40, 3)))
+    np.testing.assert_array_equal(f.h, h)
+    if wl:
+        np.testing.assert_array_equal(f.g, g)
