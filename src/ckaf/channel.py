@@ -45,8 +45,13 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        # +inf turns the noise off; any other SNR needs a finite noise power
+        try:
+            noise_gain = 10.0 ** (-self.snr_db / 10.0)
+        except OverflowError:
+            noise_gain = math.inf
+        if not math.isfinite(noise_gain):
+            raise ValueError(f"snr_db must be +inf or give a finite noise power 10^(-snr_db/10), got {self.snr_db}")
 
 
 @dataclass(frozen=True)
@@ -136,11 +141,7 @@ def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
 def _make_filter(name: str, n_taps: int, mu: float, kernel: RealKernel, novelty: Optional[NoveltyCriterion]):
     if name == "cklms":
         return CklmsFilter(kernel, mu=mu, normalized=True, novelty=novelty)
-    if name == "nclms":
-        return ComplexNlms(n_taps, mu=mu)
-    if name == "wl-nclms":
-        return ComplexNlms(n_taps, mu=mu, widely_linear=True)
-    raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    return ComplexNlms(n_taps, mu=mu, widely_linear=name == "wl-nclms")
 
 
 def _run_online(name: str, filt, dataset: EqualizationDataset, run: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,10 +189,12 @@ def run_experiment(
     order, so identical configurations reproduce bit-exactly. Errors
     are recorded before the update at each step, and the squared-error
     curves (and kernel dictionary sizes) are averaged pointwise across
-    runs. `smooth` applies an optional trailing moving average.
+    runs. `smooth` >= 1 is the window of a trailing moving average.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if smooth < 1:
+        raise ValueError(f"smooth must be >= 1, got {smooth}")
     steps = dict(DEFAULT_MU)
     steps.update(mu or {})
     kernel = kernel if kernel is not None else RealKernel.gaussian(DEFAULT_SIGMA)

@@ -42,7 +42,8 @@ class NoveltyCriterion:
     delta2: float
 
     def __post_init__(self):
-        if self.delta1 < 0 or self.delta2 < 0:
+        # `not >=` also rejects NaN
+        if not self.delta1 >= 0 or not self.delta2 >= 0:
             raise ValueError(f"novelty thresholds must be nonnegative, got ({self.delta1}, {self.delta2})")
 
 

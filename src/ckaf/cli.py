@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     eq = sub.add_parser("equalize", help="run the nonlinear channel equalization benchmark")
-    eq.add_argument("--algorithm", choices=("cklms", "nclms", "wl-nclms", "all"), default="all")
+    eq.add_argument("--algorithm", choices=(*channel.ALGORITHMS, "all"), default="all")
     eq.add_argument("--samples", type=int, default=5000)
     eq.add_argument("--runs", type=int, default=20)
     eq.add_argument("--rho", type=float, default=channel.DEFAULT_RHO)
@@ -65,33 +65,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse argv; for `equalize`, also build `config`, `real_kernel` and `novelty`
+    (None for thresholds (0, 0)) from the flags, and exit 2 on a value they reject."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "equalize":
         if args.algorithm == "all" and args.mu is not None:
             parser.error("--mu cannot be combined with --algorithm all; per-algorithm defaults apply")
-        if args.mu is not None:
-            # `not >=` also rejects NaN
-            if args.algorithm == "cklms" and not args.mu > 0:
-                parser.error(f"--mu must be positive for cklms, got {args.mu}")
-            if not args.mu >= 0:
-                parser.error(f"--mu must be nonnegative, got {args.mu}")
-        if not 0.0 <= args.rho <= 1.0:
-            parser.error(f"--rho must lie in [0, 1], got {args.rho}")
-        if math.isnan(args.snr_db):
-            parser.error("--snr-db must not be NaN")
-        if args.kernel == "gaussian" and not args.sigma > 0:
-            parser.error(f"--sigma must be positive, got {args.sigma}")
-        if args.kernel == "polynomial" and args.degree < 1:
-            parser.error(f"--degree must be >= 1, got {args.degree}")
-        if args.samples < 1 or args.runs < 1 or args.smooth < 1:
-            parser.error("--samples, --runs and --smooth must be positive")
-        if args.filter_length < 0 or args.delay < 0:
-            parser.error("--filter-length and --delay must be nonnegative")
-        if args.novelty_d1 < 0 or args.novelty_d2 < 0:
-            parser.error("--novelty-d1 and --novelty-d2 must be nonnegative")
-        if args.seed < 0:
-            parser.error("--seed must be nonnegative")
+        try:
+            args.config = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
+            if args.kernel == "gaussian":
+                args.real_kernel = RealKernel.gaussian(args.sigma)
+            else:
+                args.real_kernel = RealKernel.polynomial(args.degree)
+            novelty = NoveltyCriterion(args.novelty_d1, args.novelty_d2)
+        except ValueError as exc:
+            parser.error(str(exc))
+        args.novelty = novelty if novelty.delta1 > 0 or novelty.delta2 > 0 else None
     return args
 
 
@@ -124,29 +114,24 @@ def run_equalize(args: argparse.Namespace) -> int:
     mu_map = dict(channel.DEFAULT_MU)
     if args.mu is not None:
         mu_map[args.algorithm] = args.mu
-    if args.kernel == "gaussian":
-        kernel = RealKernel.gaussian(args.sigma)
-    else:
-        kernel = RealKernel.polynomial(args.degree)
-    novelty = None
-    if args.novelty_d1 > 0 or args.novelty_d2 > 0:
-        novelty = NoveltyCriterion(args.novelty_d1, args.novelty_d2)
-    cfg = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
     try:
         curves = channel.run_experiment(
             algos,
-            cfg,
+            args.config,
             L=args.filter_length,
             D=args.delay,
             n_samples=args.samples,
             runs=args.runs,
             mu=mu_map,
-            kernel=kernel,
-            novelty=novelty,
+            kernel=args.real_kernel,
+            novelty=args.novelty,
             seed=args.seed,
             smooth=args.smooth,
         )
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
+        print(f"ckaf equalize: error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
     try:

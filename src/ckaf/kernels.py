@@ -108,16 +108,13 @@ def self_kernel(k: RealKernel, sq_norm):
 def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Evaluate kappa(z, c) for every row c of `centers`.
 
-    z is a length-nu complex vector, centers an (m, nu) complex array;
-    returns a length-m float array, computed by kernel_row on the
-    R^(2*nu) embeddings.
+    z is a length-nu complex vector, centers an (m, nu) complex array,
+    both with finite entries; returns a length-m float array, computed
+    by kernel_row on the R^(2*nu) embeddings.
     """
-    z = np.asarray(z, dtype=complex)
-    centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    if z.shape[-1] != centers.shape[-1]:
-        raise ValueError(f"dimension mismatch: {z.shape[-1]} vs {centers.shape[-1]}")
-    rows = np.concatenate([centers.real, centers.imag], axis=1)
-    u = np.concatenate([z.real, z.imag])
+    u, rows = embed(z), embed(np.atleast_2d(centers))
+    if u.shape != rows.shape[1:]:
+        raise ValueError(f"dimension mismatch: z of shape {np.shape(z)}, centers of width {rows.shape[1] // 2}")
     return kernel_row(k, rows, np.einsum("ij,ij->i", rows, rows), u, float(u @ u))
 
 

@@ -41,9 +41,10 @@ class ComplexNlms:
         n_taps = int(n_taps)
         if n_taps < 1:
             raise ValueError(f"n_taps must be >= 1, got {n_taps}")
-        if mu < 0:
+        # `not >=` also rejects NaN
+        if not mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {mu}")
-        if eps < 0:
+        if not eps >= 0:
             raise ValueError(f"eps must be nonnegative, got {eps}")
         self.n_taps = n_taps
         self.mu = float(mu)
@@ -110,6 +111,8 @@ class ComplexNlms:
         d = complex(d)
         if not cmath.isfinite(d):
             raise ValueError("non-finite input sample; update rejected")
+        if not power + self.eps > 0:
+            raise ValueError("zero input power with eps = 0; update rejected")
         return self._update(x, power, d)
 
     def run(self, inputs, targets) -> np.ndarray:
@@ -130,6 +133,8 @@ class ComplexNlms:
             powers = row_sq_norms(x)
         if not np.isfinite(powers).all():
             raise ValueError("non-finite input sample; run rejected")
+        if not (powers + self.eps > 0).all():
+            raise ValueError("zero input power with eps = 0; run rejected")
         targets = np.asarray(targets, dtype=complex)
         if targets.shape != x.shape[:1]:
             raise ValueError(f"{x.shape[0]} inputs but targets of shape {targets.shape}")

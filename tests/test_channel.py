@@ -99,6 +99,17 @@ class TestChannel:
         with pytest.raises(ValueError):
             ChannelConfig(rho=2.0)
 
+    @pytest.mark.parametrize("snr_db", [-math.inf, -4000.0, math.nan], ids=["minus-inf", "overflow", "nan"])
+    def test_snr_without_finite_noise_power_rejected(self, snr_db):
+        # -inf used to run noiseless like +inf, and -4000 dB overflowed in run_channel
+        with pytest.raises(ValueError, match="snr_db"):
+            ChannelConfig(snr_db=snr_db)
+
+    def test_lowest_snrs_with_finite_noise_power_accepted(self):
+        s = generate_source(50, rho=0.5, seed=5)
+        assert np.isfinite(run_channel(ChannelConfig(snr_db=-3000.0), s, seed=6)).all()
+        ChannelConfig(snr_db=-3082.0)
+
 
 class TestDataset:
     def test_degenerate_window(self):
@@ -193,6 +204,11 @@ class TestExperiment:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             run_experiment(["rls"], ChannelConfig(), n_samples=50, runs=1)
+
+    @pytest.mark.parametrize("smooth", [0, -3])
+    def test_nonpositive_smoothing_window_rejected(self, smooth):
+        with pytest.raises(ValueError, match="smooth"):
+            run_experiment(["nclms"], ChannelConfig(), n_samples=50, runs=1, smooth=smooth)
 
     def test_smoothing_preserves_length_and_mean(self):
         cfg = ChannelConfig()

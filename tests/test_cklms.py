@@ -200,6 +200,12 @@ class TestNovelty:
         with pytest.raises(ValueError):
             NoveltyCriterion(-0.1, 0.2)
 
+    @pytest.mark.parametrize("thresholds", [(np.nan, 0.2), (0.15, np.nan)], ids=["delta1", "delta2"])
+    def test_nan_threshold_rejected(self, thresholds):
+        # a NaN delta1 used to admit the same center again and again, a NaN delta2 nothing at all
+        with pytest.raises(ValueError, match="nonnegative"):
+            NoveltyCriterion(*thresholds)
+
 
 @pytest.mark.parametrize("kernel", [RealKernel.gaussian(1.0), RealKernel.polynomial(2)], ids=["gaussian", "polynomial"])
 def test_step_agrees_with_predict_and_admit(kernel):

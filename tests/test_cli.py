@@ -189,6 +189,32 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rho", "1.5"],
+            ["--samples", "0"],
+            ["--runs", "0"],
+            ["--smooth", "0"],
+            ["--filter-length", "-1"],
+            ["--delay", "-1"],
+            ["--seed", "-1"],
+            ["--samples", "2", "--delay", "2"],
+            ["--novelty-d1", "nan"],
+            ["--novelty-d2", "nan"],
+            ["--novelty-d1", "-1", "--novelty-d2", "0"],
+            ["--algorithm", "nclms", "--mu", "nan"],
+            ["--snr-db=-inf"],
+            ["--snr-db=-4000"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_value_rejected_by_library_exits_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert cli.main(["equalize", "--samples", "30", "--runs", "1", "--output", str(out), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_mu_valid_for_linear_filters(self, tmp_path):
         for algorithm in ("nclms", "wl-nclms"):
             out = tmp_path / f"{algorithm}.csv"

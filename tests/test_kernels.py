@@ -213,6 +213,17 @@ def test_kernel_eval_many_matches_scalar():
         np.testing.assert_allclose(many, singles, rtol=1e-15)
 
 
+def test_kernel_eval_many_rejects_nonfinite_like_kernel_eval():
+    # a NaN z used to give a row of NaN
+    k = RealKernel.gaussian(1.0)
+    centers = np.array([[1 + 1j, 0j], [0j, 1j]])
+    for z, cs in (([np.nan, 0j], centers), ([1j, 0j], np.where(centers == 1j, np.inf, centers))):
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_eval(k, z, cs[-1])
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_eval_many(k, z, cs)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_polynomial_feature_map_reproduces_kernel(degree):
     rng = np.random.default_rng(11)

@@ -78,6 +78,25 @@ class TestUpdate:
         with pytest.raises(ValueError):
             ComplexNlms(2, mu=0.1, eps=-1e-9)
 
+    @pytest.mark.parametrize("params", [{"mu": np.nan}, {"mu": 0.1, "eps": np.nan}], ids=["mu", "eps"])
+    def test_nan_parameters_rejected(self, params):
+        # a NaN mu or eps used to be accepted and then wrote NaN weights
+        with pytest.raises(ValueError, match="nonnegative"):
+            ComplexNlms(2, **params)
+
+    def test_zero_power_without_eps_rejected_state_unchanged(self):
+        for wl in (False, True):
+            f = ComplexNlms(2, mu=0.5, eps=0.0, widely_linear=wl)
+            f.update([1 + 1j, 1j], 1.0)
+            h, g = f.h.copy(), None if f.g is None else f.g.copy()
+            with pytest.raises(ValueError, match="zero input power"):
+                f.update([0j, 0j], 1.0)
+            np.testing.assert_array_equal(f.h, h)
+            if wl:
+                np.testing.assert_array_equal(f.g, g)
+            # with the default eps a zero input is a valid step that changes nothing
+            assert ComplexNlms(2, mu=0.5, widely_linear=wl).update([0j, 0j], 1.0) == (0j, 1 + 0j)
+
 
 def _real_nlms_reference(xs, ds, n_taps, mu, eps):
     """Plain real NLMS, written independently of the complex code path."""
@@ -227,3 +246,13 @@ def test_run_rejects_bad_block_state_unchanged(wl, corrupt):
     np.testing.assert_array_equal(f.h, h)
     if wl:
         np.testing.assert_array_equal(f.g, g)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_run_rejects_zero_power_row_without_eps_state_unchanged(wl):
+    # the zero row comes second: it used to raise ZeroDivisionError after the first update
+    f = ComplexNlms(2, mu=0.5, eps=0.0, widely_linear=wl)
+    with pytest.raises(ValueError, match="zero input power"):
+        f.run([[1 + 1j, 1j], [0j, 0j]], [1, 1])
+    assert not f.h.any()
+    assert f.g is None or not f.g.any()
