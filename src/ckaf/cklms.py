@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import GAUSSIAN, RealKernel, embed, kernel_row, polynomial_feature_map, row_sq_norms, self_kernel
+from .kernels import GAUSSIAN, RealKernel, embed, kernel_row, lift, polynomial_feature_map, row_sq_norms, self_kernel
 from .wirtinger import GradientCheckReport, WirtingerPair, check_gradient
 
 
@@ -86,18 +86,17 @@ class CklmsFilter:
         normalized: bool = True,
         novelty: Optional[NoveltyCriterion] = None,
     ):
-        if not mu > 0:
-            raise ValueError(f"mu must be positive, got {mu}")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         self.kernel = kernel
         self.mu = float(mu)
         self.normalized = bool(normalized)
         self.novelty = novelty
         self._dim: Optional[int] = None
         self._n = 0
-        # embedded centers, their squared norms, and alpha_k as (re, im) rows
-        self._rows = np.empty((0, 0))
-        self._sq_norms = np.empty(0)
-        self._alpha = np.empty((0, 2))
+        # one column (||c||^2, 1, c) per embedded center c, and alpha_k as (re, im) columns
+        self._cols = np.empty((0, 0))
+        self._alpha = np.empty((2, 0))
 
     @property
     def dictionary_size(self) -> int:
@@ -105,36 +104,39 @@ class CklmsFilter:
 
     @property
     def centers(self) -> np.ndarray:
-        rows = self._rows[: self._n]
-        return rows[:, : self._dim] + 1j * rows[:, self._dim :]
+        cols = self._cols[2:, : self._n]
+        return (cols[: self._dim] + 1j * cols[self._dim :]).T
 
     @property
     def coeffs(self) -> np.ndarray:
         """The (a, b) pairs as a_k + i b_k, with a = Re alpha + Im alpha, b = Re alpha - Im alpha."""
-        alpha = self._alpha[: self._n]
-        return (alpha[:, 0] + alpha[:, 1]) + 1j * (alpha[:, 0] - alpha[:, 1])
+        re, im = self._alpha[:, : self._n]
+        return (re + im) + 1j * (re - im)
 
     def _check_width(self, width: int) -> None:
         if self._dim is not None and width != 2 * self._dim:
             raise ValueError(f"input length {width // 2} does not match dictionary dimension {self._dim}")
 
-    def _sample(self, z) -> tuple[np.ndarray, float]:
-        """Validate and embed one input vector; return u and its squared norm."""
+    def _sample(self, z) -> tuple[np.ndarray, float, np.ndarray]:
+        """Validate and embed one input vector; return u, its squared norm and its lifted query."""
         u = embed(z)
         if u.ndim != 1:
             raise ValueError(f"expected a 1-D complex vector, got shape {np.shape(z)}")
         self._check_width(u.size)
-        return u, float(u @ u)
+        u_sq = float(np.vdot(u, u))  # overflows to inf without a warning
+        if not math.isfinite(u_sq):
+            raise ValueError("non-finite input sample; step rejected")
+        return u, u_sq, lift(self.kernel, u, u_sq)
 
-    def _row(self, u: np.ndarray, u_sq: float) -> np.ndarray:
-        """The one kernel row kappa(z, z_k) over the centers, from the embedding u of z."""
+    def _row(self, q: np.ndarray) -> np.ndarray:
+        """The one kernel row kappa(z, z_k) over the centers, from the lifted query q of z."""
         n = self._n
         if n == 0:
             return np.empty(0)
-        return kernel_row(self.kernel, self._rows[:n], self._sq_norms[:n], u, u_sq)
+        return kernel_row(self.kernel, self._cols[:, :n], q)
 
     def _output(self, k: np.ndarray) -> complex:
-        y_re, y_im = (k @ self._alpha[: self._n]).tolist()
+        y_re, y_im = (self._alpha[:, : self._n] @ k).tolist()
         return complex(2.0 * y_re, 2.0 * y_im)
 
     def _novel(self, u_sq: float, k: np.ndarray, e: complex) -> bool:
@@ -150,13 +152,13 @@ class CklmsFilter:
             dist_sq = 4.0 * (1.0 - float(k.max()))
         else:
             # ||Phi(z) - Phi(z_k)||^2 = 2 (kappa(z,z) - 2 kappa(z,z_k) + kappa(z_k,z_k))
-            kcc = self_kernel(self.kernel, self._sq_norms[: self._n])
+            kcc = self_kernel(self.kernel, self._cols[0, : self._n])
             dist_sq = 2.0 * (self_kernel(self.kernel, u_sq) + float(np.min(kcc - 2.0 * k)))
         return not math.sqrt(max(dist_sq, 0.0)) < self.novelty.delta1
 
-    def _step(self, u: np.ndarray, u_sq: float, d: complex) -> StepResult:
+    def _step(self, u: np.ndarray, u_sq: float, q: np.ndarray, d: complex) -> StepResult:
         """The recursion on one validated sample: predict, measure the error, maybe grow."""
-        k = self._row(u, u_sq)
+        k = self._row(q)
         prediction = self._output(k)
         e = d - prediction
         admitted = self._novel(u_sq, k, e)
@@ -167,20 +169,20 @@ class CklmsFilter:
 
     def predict(self, z) -> complex:
         """Filter output at z; an empty dictionary predicts 0."""
-        return self._output(self._row(*self._sample(z)))
+        return self._output(self._row(self._sample(z)[2]))
 
     def admit(self, z, e: complex) -> bool:
         """Novelty decision for a candidate center with prediction error e."""
-        u, u_sq = self._sample(z)
-        return self._novel(u_sq, self._row(u, u_sq), e)
+        _, u_sq, q = self._sample(z)
+        return self._novel(u_sq, self._row(q), e)
 
     def step(self, z, d: complex) -> StepResult:
         """Process one sample: predict, measure the error, maybe grow."""
-        u, u_sq = self._sample(z)
+        u, u_sq, q = self._sample(z)
         d = complex(d)
         if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; step rejected")
-        return self._step(u, u_sq, d)
+        return self._step(u, u_sq, q, d)
 
     def run(self, inputs, targets) -> RunResult:
         """Process a whole stream: an (N, nu) complex block and its N targets.
@@ -200,12 +202,16 @@ class CklmsFilter:
             raise ValueError(f"{rows.shape[0]} inputs but targets of shape {targets.shape}")
         if not np.isfinite(targets).all():
             raise ValueError("non-finite desired value; run rejected")
+        sq_norms = row_sq_norms(rows)
+        if not np.isfinite(sq_norms).all():
+            raise ValueError("non-finite input sample; run rejected")
+        queries = lift(self.kernel, rows, sq_norms)
         n = targets.size
         predictions = np.empty(n, dtype=complex)
         errors = np.empty(n, dtype=complex)
         admitted = np.zeros(n, dtype=bool)
-        for i, (u, u_sq, d) in enumerate(zip(rows, map(float, row_sq_norms(rows)), map(complex, targets))):
-            predictions[i], e, admitted[i] = self._step(u, u_sq, d)
+        for i, (u, u_sq, q, d) in enumerate(zip(rows, map(float, sq_norms), queries, map(complex, targets))):
+            predictions[i], e, admitted[i] = self._step(u, u_sq, q, d)
             errors[i] = e
             if not math.isfinite(e.real * e.real + e.imag * e.imag):
                 n = i + 1
@@ -216,18 +222,15 @@ class CklmsFilter:
         n = self._n
         if self._dim is None:
             self._dim = u.size // 2
-            self._rows = np.empty((16, u.size))
-            self._sq_norms = np.empty(16)
-            self._alpha = np.empty((16, 2))
-        elif n == self._rows.shape[0]:
-            for name in ("_rows", "_sq_norms", "_alpha"):
-                old = getattr(self, name)
-                new = np.empty((2 * n,) + old.shape[1:])
-                new[:n] = old
-                setattr(self, name, new)
-        self._rows[n] = u
-        self._sq_norms[n] = u_sq
-        self._alpha[n] = (alpha.real, alpha.imag)
+            self._cols = np.ones((u.size + 2, 16))
+            self._alpha = np.empty((2, 16))
+        elif n == self._cols.shape[1]:
+            self._cols = np.concatenate([self._cols, np.ones_like(self._cols)], axis=1)
+            self._alpha = np.concatenate([self._alpha, np.empty_like(self._alpha)], axis=1)
+        # row 1 of the store is all ones from its allocation
+        self._cols[0, n] = u_sq
+        self._cols[2:, n] = u
+        self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
         self._n = n + 1
 
     def save_dictionary(self, path) -> None:

@@ -36,8 +36,10 @@ class RealKernel:
 
     def __post_init__(self):
         if self.kind == GAUSSIAN:
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError(f"gaussian kernel requires sigma > 0, got {self.sigma}")
+            sigma = np.nan if self.sigma is None else float(self.sigma)
+            # a lifted query holds 2/sigma^2, so sigma^2 and 2/sigma^2 must be finite and nonzero
+            if not (sigma > 0 and 0 < sigma * sigma < np.inf and np.isfinite(2.0 / (sigma * sigma))):
+                raise ValueError(f"gaussian kernel requires finite sigma^2 > 0 and 1/sigma^2, got {self.sigma}")
         elif self.kind == POLYNOMIAL:
             if self.degree is None or int(self.degree) < 1:
                 raise ValueError(f"polynomial kernel requires degree >= 1, got {self.degree}")
@@ -71,30 +73,44 @@ def row_sq_norms(rows: np.ndarray) -> np.ndarray:
     """||r||^2 for every row r of a 2-D real or complex array.
 
     Each row is summed by one BLAS dot product, as u @ u or np.vdot(x, x)
-    sums a single vector, so a row's norm is the same to the bit whether
-    it is computed here for a whole block or for one sample.
+    sums a single vector, so a row's norm is the same to the bit whether it is
+    computed here for a whole block or for one sample. A row that is not
+    finite, or too large to square, gets a non-finite norm without a warning.
     """
-    return np.matmul(rows.conj()[:, np.newaxis, :], rows[:, :, np.newaxis])[:, 0, 0].real
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(rows.conj()[:, np.newaxis, :], rows[:, :, np.newaxis])[:, 0, 0].real
 
 
-def kernel_row(k: RealKernel, rows: np.ndarray, sq_norms: np.ndarray, u: np.ndarray, u_sq: float) -> np.ndarray:
-    """kappa(u, c) for every embedded row c of `rows`, from one GEMV.
+def lift(k: RealKernel, u: np.ndarray, u_sq) -> np.ndarray:
+    """Lift an embedded u with squared norm u_sq, or an (N, 2*nu) block of them, to queries q.
 
-    rows is an (m, 2*nu) float array of embedded centers with squared
-    norms sq_norms, u an embedded input with squared norm u_sq. Both
-    kernels need only G = rows @ u: the Gaussian takes
-    ||c - u||^2 = ||c||^2 + ||u||^2 - 2G, clamped at 0 because the
-    expansion can round below it, and the polynomial kernel (1 + G)^p.
-    This is the hot path of the kernel filters.
+    A center c is stored as the column col = (||c||^2, 1, c). With s = 1/sigma^2 the
+    Gaussian q = (-s, -s ||u||^2, 2s u) gives q @ col = -||u - c||^2 / sigma^2, and the
+    polynomial q = (0, 1, u) gives q @ col = 1 + u.c.
     """
+    q = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
     if k.kind == GAUSSIAN:
-        d2 = sq_norms + u_sq
-        d2 -= rows @ (u + u)  # u + u is exact, so this subtracts exactly 2G
-        np.maximum(d2, 0.0, out=d2)
-        d2 /= -(k.sigma * k.sigma)
-        return np.exp(d2, out=d2)
-    g = rows @ u
-    g += 1.0
+        s = 1.0 / (k.sigma * k.sigma)
+        q[..., 0] = -s
+        q[..., 1] = -s * u_sq
+        np.multiply(u, 2.0 * s, out=q[..., 2:])
+    else:
+        q[..., :2] = 0.0, 1.0
+        q[..., 2:] = u
+    return q
+
+
+def kernel_row(k: RealKernel, cols: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """kappa(u, c) for every center column (||c||^2, 1, c) of `cols`, from one GEMV.
+
+    q is the lifted query of u. The Gaussian exponent is clamped at 0,
+    because the norm expansion can round above it. This is the hot path
+    of the kernel filters.
+    """
+    g = q @ cols
+    if k.kind == GAUSSIAN:
+        np.minimum(g, 0.0, out=g)
+        return np.exp(g, out=g)
     return np.power(g, k.degree, out=g)
 
 
@@ -110,22 +126,24 @@ def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.nd
 
     z is a length-nu complex vector, centers an (m, nu) complex array,
     both with finite entries; returns a length-m float array, computed
-    by kernel_row on the R^(2*nu) embeddings.
+    by kernel_row on center columns laid out as CklmsFilter stores them.
     """
     u, rows = embed(z), embed(np.atleast_2d(centers))
     if u.shape != rows.shape[1:]:
         raise ValueError(f"dimension mismatch: z of shape {np.shape(z)}, centers of width {rows.shape[1] // 2}")
-    return kernel_row(k, rows, np.einsum("ij,ij->i", rows, rows), u, float(u @ u))
+    cols = np.vstack([row_sq_norms(rows), np.ones(len(rows)), rows.T])
+    return kernel_row(k, cols, lift(k, u, float(u @ u)))
 
 
 def kernel_eval(k: RealKernel, z1, z2) -> float:
-    """kappa evaluated on the R^(2*nu) identification of z1, z2."""
+    """kappa by its definition on the R^(2*nu) identification of z1, z2."""
     u, v = embed(z1), embed(z2)
     if u.size != v.size:
         raise ValueError(f"dimension mismatch: {u.size // 2} vs {v.size // 2}")
-    # a one-row GEMV sums like the dot products of the norms, so z1 == z2
-    # gives a distance of exactly 0
-    return float(kernel_row(k, v[np.newaxis, :], np.array([v @ v]), u, float(u @ u))[0])
+    if k.kind == GAUSSIAN:
+        diff = u - v
+        return float(np.exp(-(diff @ diff) / (k.sigma * k.sigma)))
+    return float((1.0 + u @ v) ** k.degree)
 
 
 def polynomial_feature_map(u, degree: int) -> np.ndarray:

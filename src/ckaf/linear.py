@@ -41,9 +41,9 @@ class ComplexNlms:
         n_taps = int(n_taps)
         if n_taps < 1:
             raise ValueError(f"n_taps must be >= 1, got {n_taps}")
-        # `not >=` also rejects NaN
-        if not mu >= 0:
-            raise ValueError(f"mu must be nonnegative, got {mu}")
+        # the negated comparison also rejects NaN
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu must be nonnegative and finite, got {mu}")
         if not eps >= 0:
             raise ValueError(f"eps must be nonnegative, got {eps}")
         self.n_taps = n_taps
@@ -128,9 +128,7 @@ class ComplexNlms:
         x = np.asarray(inputs, dtype=complex)
         if x.ndim != 2 or x.shape[1] != self.n_taps:
             raise ValueError(f"input length {x.shape[1:]} does not match filter length ({self.n_taps},)")
-        # a non-finite entry, or one too large to square, makes the power non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = row_sq_norms(x)
+        powers = row_sq_norms(x)
         if not np.isfinite(powers).all():
             raise ValueError("non-finite input sample; run rejected")
         if not (powers + self.eps > 0).all():

@@ -371,3 +371,82 @@ def test_run_rejects_bad_block_state_unchanged(corrupt):
     after = _snapshot(f)
     assert after[0] == before[0]
     assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+
+
+@pytest.mark.parametrize("m", [1, 17, 500])
+@pytest.mark.parametrize(
+    "kernel",
+    [RealKernel.gaussian(5.0), RealKernel.gaussian(0.7), RealKernel.polynomial(2)],
+    ids=["gaussian-5", "gaussian-0.7", "polynomial"],
+)
+def test_predict_matches_expansion_over_centers(kernel, m):
+    """predict(z) = 2 sum_k alpha_k kappa(z, z_k), with alpha_k from the (a, b) pairs
+    (2 alpha = (a + b) + i (a - b)) and kappa by its definition."""
+    rng = np.random.default_rng(14)
+    zs, ds = _random_stream(rng, m, 3)
+    f = CklmsFilter(kernel, mu=0.2)
+    f.run(0.5 * zs, ds)
+    a, b = f.coeffs.real, f.coeffs.imag
+    two_alpha = (a + b) + 1j * (a - b)
+    for z in 0.5 * _random_stream(rng, 5, 3)[0]:
+        terms = two_alpha * np.array([kernel_eval(kernel, z, c) for c in f.centers])
+        assert abs(f.predict(z) - terms.sum()) <= 1e-13 * max(1.0, np.abs(terms).sum())
+
+
+def test_run_stores_admitted_inputs_bit_for_bit():
+    rng = np.random.default_rng(15)
+    zs, ds = _random_stream(rng, 400, 2)
+    f = CklmsFilter(RealKernel.gaussian(0.7), mu=0.5, novelty=NoveltyCriterion(0.5, 0.3))
+    result = f.run(zs, ds)
+    assert 0 < result.admitted.sum() < zs.shape[0]
+    assert np.array_equal(f.centers, zs[result.admitted])
+
+
+def test_stored_center_queried_again_kernel_at_most_one():
+    # a one-center filter with alpha = 1 predicts 2 kappa(c, c); the norm
+    # expansion of the exponent can round above 0 at z == c, and the clamp
+    # keeps kappa <= 1 for every center of a stream
+    rng = np.random.default_rng(16)
+    kernel = RealKernel.gaussian(0.05)
+    for c in 3.0 * _random_stream(rng, 200, 3)[0]:
+        f = CklmsFilter(kernel, mu=1.0, normalized=False)
+        f.step(c, 1.0)
+        assert f.coeffs[0] == 1 + 1j  # alpha = 1
+        y = f.predict(c)
+        assert y.imag == 0.0 and y.real <= 2.0
+        # the squared distance read back from kappa stays within rounding of 0
+        assert -kernel.sigma**2 * np.log(y.real / 2.0) <= 16 * np.finfo(float).eps * np.vdot(c, c).real
+
+
+def test_infinite_mu_rejected():
+    # mu = inf used to be accepted and then diverged at the first step
+    with pytest.raises(ValueError, match="finite"):
+        CklmsFilter(RealKernel.gaussian(1.0), mu=np.inf)
+
+
+def test_step_rejects_overflowing_input_power_state_unchanged():
+    # finite entries whose squared norm overflows: the lifted query would carry -inf
+    rng = np.random.default_rng(17)
+    f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
+    f.run(*_random_stream(rng, 10, 2))
+    before = _snapshot(f)
+    for call in (lambda z: f.step(z, 1.0), f.predict, lambda z: f.admit(z, 1.0)):
+        with pytest.raises(ValueError, match="non-finite input sample"):
+            call([1e200 + 0j, 1j])
+    after = _snapshot(f)
+    assert after[0] == before[0]
+    assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+
+
+def test_run_rejects_overflowing_input_power_state_unchanged():
+    rng = np.random.default_rng(18)
+    f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5, novelty=NoveltyCriterion(0.15, 0.2))
+    f.run(*_random_stream(rng, 10, 2))
+    before = _snapshot(f)
+    zs, ds = _random_stream(rng, 40, 2)
+    zs[30] = [1e155, 1e155j]
+    with pytest.raises(ValueError, match="non-finite input sample"):
+        f.run(zs, ds)
+    after = _snapshot(f)
+    assert after[0] == before[0]
+    assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])

@@ -206,6 +206,12 @@ class TestMain:
             ["--algorithm", "nclms", "--mu", "nan"],
             ["--snr-db=-inf"],
             ["--snr-db=-4000"],
+            ["--algorithm", "cklms", "--sigma", "1e-200"],
+            ["--algorithm", "cklms", "--sigma", "inf"],
+            ["--algorithm", "cklms", "--mu", "inf"],
+            ["--algorithm", "nclms", "--mu", "inf"],
+            ["--algorithm", "cklms", "--snr-db=-3080"],
+            ["--algorithm", "nclms", "--snr-db=-3080"],
         ],
         ids=lambda flags: " ".join(flags),
     )

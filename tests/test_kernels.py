@@ -271,3 +271,15 @@ def test_norm_expansion_repeated_center_clamped():
             assert row[i] <= 1.0
             dist_sq = -k.sigma**2 * np.log(row[i])
             assert dist_sq <= 16 * np.finfo(float).eps * np.sum(np.abs(centers[i]) ** 2)
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, 1e-200, 1e-160, 1e160])
+def test_gaussian_sigma_needs_finite_square_and_inverse_square(sigma):
+    # sigma = inf gave a constant kernel; sigma = 1e-200 divided by a zero sigma^2
+    with pytest.raises(ValueError, match="finite sigma"):
+        RealKernel.gaussian(sigma)
+
+
+def test_gaussian_sigma_extremes_with_finite_inverse_square_accepted():
+    for sigma in (1e-150, 1e150):
+        assert kernel_eval(RealKernel.gaussian(sigma), [1 + 1j], [1 + 1j]) == 1.0

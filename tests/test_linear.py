@@ -256,3 +256,11 @@ def test_run_rejects_zero_power_row_without_eps_state_unchanged(wl):
         f.run([[1 + 1j, 1j], [0j, 0j]], [1, 1])
     assert not f.h.any()
     assert f.g is None or not f.g.any()
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_infinite_mu_rejected(wl):
+    # mu = inf used to be accepted and then diverged at the first update
+    with pytest.raises(ValueError, match="finite"):
+        ComplexNlms(2, mu=np.inf, widely_linear=wl)
+    assert ComplexNlms(2, mu=0.0, widely_linear=wl).mu == 0.0
