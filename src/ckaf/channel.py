@@ -22,6 +22,8 @@ from .cklms import CklmsFilter, NoveltyCriterion
 from .kernels import RealKernel
 from .linear import ComplexNlms
 
+_BANK = 10  # runs drawn and held at once: each linear filter steps them together, and memory stays bounded
+
 ALGORITHMS = ("cklms", "nclms", "wl-nclms")
 
 DEFAULT_RHO = math.sqrt(2.0) / 2.0
@@ -59,16 +61,16 @@ class EqualizationDataset:
     """Receiver windows paired with delayed source symbols.
 
     inputs[n] = (r(n+D), r(n+D-1), ..., r(n+D-L)); targets[n] = s(n).
-    Pre-stream receiver values are zero.
+    Pre-stream receiver values are zero. A stack of R streams adds a leading axis.
     """
 
-    inputs: np.ndarray  # (N, L+1) complex
-    targets: np.ndarray  # (N,) complex
+    inputs: np.ndarray  # (N, L+1) or (R, N, L+1) complex
+    targets: np.ndarray  # (N,) or (R, N) complex
     L: int
     D: int
 
     def __len__(self):
-        return self.targets.size
+        return self.targets.shape[-1]
 
 
 @dataclass
@@ -121,39 +123,36 @@ def run_channel(cfg: ChannelConfig, s, seed=None) -> np.ndarray:
 
 
 def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
-    """Build tapped-delay equalization pairs from received and source signals."""
+    """Build tapped-delay equalization pairs from received and source signals, or from (R, n) stacks
+    of them: inputs is a read-only view whose windows are unit-stride slices, targets a view of s."""
     if L < 0 or D < 0:
         raise ValueError(f"L and D must be nonnegative, got L={L}, D={D}")
     r = np.asarray(r, dtype=complex)
     s = np.asarray(s, dtype=complex)
-    n_total = min(s.size, r.size - D)
+    if r.shape[:-1] != s.shape[:-1]:
+        raise ValueError(f"received signals of shape {r.shape} but sources of shape {s.shape}")
+    n_total = min(s.shape[-1], r.shape[-1] - D)
     if n_total <= 0:
-        raise ValueError(f"no complete samples: len(r)={r.size}, D={D}")
-    # window n reads r[n+D], r[n+D-1], ..., r[n+D-L]; negative indices are 0
-    r_padded = np.concatenate([np.zeros(L, dtype=complex), r])
-    inputs = np.empty((n_total, L + 1), dtype=complex)
-    for tap in range(L + 1):
-        start = L + D - tap
-        inputs[:, tap] = r_padded[start : start + n_total]
-    return EqualizationDataset(inputs=inputs, targets=s[:n_total].copy(), L=L, D=D)
+        raise ValueError(f"no complete samples: len(r)={r.shape[-1]}, D={D}")
+    # window n, r[n+D] down to r[n+D-L], is a forward slice of r reversed in time and followed by L zeros
+    reversed_r = np.concatenate([r[..., ::-1], np.zeros(r.shape[:-1] + (L,), dtype=complex)], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(reversed_r, L + 1, axis=-1)[..., ::-1, :]
+    return EqualizationDataset(inputs=windows[..., D : D + n_total, :], targets=s[..., :n_total], L=L, D=D)
 
 
-def _make_filter(name: str, n_taps: int, mu: float, kernel: RealKernel, novelty: Optional[NoveltyCriterion]):
+def _squared_errors(name: str, dataset: EqualizationDataset, mu: float, kernel: RealKernel, novelty):
+    """Yield the squared errors and dictionary sizes of one filter on each stream of a stack, in
+    order: a linear filter steps all the streams at once, a kernel filter takes one at a time."""
     if name == "cklms":
-        return CklmsFilter(kernel, mu=mu, normalized=True, novelty=novelty)
-    return ComplexNlms(n_taps, mu=mu, widely_linear=name == "wl-nclms")
-
-
-def _run_online(name: str, filt, dataset: EqualizationDataset, run: int) -> tuple[np.ndarray, np.ndarray]:
-    """One filter over one stream: per-step squared errors and dictionary sizes."""
-    result = filt.run(dataset.inputs, dataset.targets)
-    if name == "cklms":
-        errors, sizes = result.errors, np.cumsum(result.admitted, dtype=float)
+        results = (CklmsFilter(kernel, mu, True, novelty).run(x, d) for x, d in zip(dataset.inputs, dataset.targets))
+        streams = ((result.errors, np.cumsum(result.admitted, dtype=float)) for result in results)
     else:
-        errors, sizes = result, np.zeros(len(dataset))
-    if errors.size < len(dataset):
-        raise RuntimeError(f"{name} diverged: non-finite error at step {errors.size - 1} of run {run}")
-    return errors.real * errors.real + errors.imag * errors.imag, sizes
+        errors = ComplexNlms(dataset.L + 1, mu, widely_linear=name == "wl-nclms").run(dataset.inputs, dataset.targets)
+        streams = ((e, np.zeros(e.size)) for e in errors)
+    for e, sizes in streams:
+        with np.errstate(over="ignore"):
+            err_sq = e.real * e.real + e.imag * e.imag
+        yield err_sq, sizes
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -203,21 +202,26 @@ def run_experiment(
         raise ValueError(f"unknown algorithms {unknown}; expected among {ALGORITHMS}")
 
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
-    sum_err: dict[str, np.ndarray] = {}
-    sum_size: dict[str, np.ndarray] = {}
-    for run, run_seed in enumerate(run_seeds):
-        source_seed, noise_seed = run_seed.spawn(2)
-        s = generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source_seed)
-        r = run_channel(cfg, s, seed=noise_seed)
-        dataset = build_dataset(r, s, L, D)
-        for name in algorithms:
-            filt = _make_filter(name, L + 1, steps[name], kernel, novelty)
-            err_sq, sizes = _run_online(name, filt, dataset, run)
-            if name not in sum_err:
-                sum_err[name] = np.zeros(len(dataset))
-                sum_size[name] = np.zeros(len(dataset))
-            sum_err[name] += err_sq
-            sum_size[name] += sizes
+    sum_err = dict.fromkeys(algorithms, 0.0)
+    sum_size = dict.fromkeys(algorithms, 0.0)
+    for first in range(0, runs, _BANK):
+        seeds = [run_seed.spawn(2) for run_seed in run_seeds[first : first + _BANK]]
+        s = np.array([generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source) for source, _ in seeds])
+        dataset = build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, seeds)], s, L, D)
+        failures = []
+        for order, name in enumerate(algorithms):
+            for j, (err_sq, sizes) in enumerate(_squared_errors(name, dataset, steps[name], kernel, novelty)):
+                finite = np.isfinite(err_sq)
+                if not finite.all():
+                    failures.append((first + j, order, name, finite.argmin()))
+                    break
+                sum_err[name] += err_sq
+                sum_size[name] += sizes
+        # the lowest run fails first, and within it the first algorithm, as when runs go one by one
+        if failures:
+            run, _, name, step = min(failures)
+            raise RuntimeError(f"{name} diverged: non-finite error at step {step} of run {run}")
+        del s, dataset  # free this bank before the next one is drawn
 
     curves = {}
     for name in algorithms:

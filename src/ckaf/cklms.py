@@ -124,7 +124,7 @@ class CklmsFilter:
             raise ValueError(f"expected a 1-D complex vector, got shape {np.shape(z)}")
         self._check_width(u.size)
         u_sq = float(np.vdot(u, u))  # overflows to inf without a warning
-        if not math.isfinite(u_sq):
+        if not math.isfinite(u_sq) or not math.isfinite(self_kernel(self.kernel, u_sq)):
             raise ValueError("non-finite input sample; step rejected")
         return u, u_sq, lift(self.kernel, u, u_sq)
 
@@ -203,7 +203,9 @@ class CklmsFilter:
         if not np.isfinite(targets).all():
             raise ValueError("non-finite desired value; run rejected")
         sq_norms = row_sq_norms(rows)
-        if not np.isfinite(sq_norms).all():
+        # kappa(z, z) grows with ||z||^2, so the largest norm decides whether every one is finite
+        largest = float(sq_norms.max(initial=0.0))
+        if not np.isfinite(sq_norms).all() or not math.isfinite(self_kernel(self.kernel, largest)):
             raise ValueError("non-finite input sample; run rejected")
         queries = lift(self.kernel, rows, sq_norms)
         n = targets.size

@@ -70,15 +70,15 @@ def embed(z) -> np.ndarray:
 
 
 def row_sq_norms(rows: np.ndarray) -> np.ndarray:
-    """||r||^2 for every row r of a 2-D real or complex array.
+    """||r||^2 for every row r (along the last axis) of a real or complex array.
 
-    Each row is summed by one BLAS dot product, as u @ u or np.vdot(x, x)
+    A unit-stride row is summed by one BLAS dot product, as u @ u or np.vdot(x, x)
     sums a single vector, so a row's norm is the same to the bit whether it is
     computed here for a whole block or for one sample. A row that is not
     finite, or too large to square, gets a non-finite norm without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(rows.conj()[:, np.newaxis, :], rows[:, :, np.newaxis])[:, 0, 0].real
+        return np.ascontiguousarray(np.vecdot(rows, rows).real)  # real, not a view of complex products
 
 
 def lift(k: RealKernel, u: np.ndarray, u_sq) -> np.ndarray:
@@ -115,10 +115,13 @@ def kernel_row(k: RealKernel, cols: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def self_kernel(k: RealKernel, sq_norm):
-    """kappa(c, c) from the squared norm of the embedded c."""
+    """kappa(c, c) from the squared norm of the embedded c; inf past the float range."""
     if k.kind == GAUSSIAN:
         return 1.0
-    return (1.0 + sq_norm) ** k.degree
+    try:
+        return (1.0 + sq_norm) ** k.degree
+    except OverflowError:
+        return np.inf
 
 
 def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -126,24 +129,32 @@ def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.nd
 
     z is a length-nu complex vector, centers an (m, nu) complex array,
     both with finite entries; returns a length-m float array, computed
-    by kernel_row on center columns laid out as CklmsFilter stores them.
+    by kernel_row on center columns laid out as CklmsFilter stores them; an overflow raises.
     """
     u, rows = embed(z), embed(np.atleast_2d(centers))
     if u.shape != rows.shape[1:]:
         raise ValueError(f"dimension mismatch: z of shape {np.shape(z)}, centers of width {rows.shape[1] // 2}")
-    cols = np.vstack([row_sq_norms(rows), np.ones(len(rows)), rows.T])
-    return kernel_row(k, cols, lift(k, u, float(u @ u)))
+    try:
+        with np.errstate(over="raise"):
+            cols = np.vstack([np.vecdot(rows, rows), np.ones(len(rows)), rows.T])
+            return kernel_row(k, cols, lift(k, u, float(u @ u)))
+    except FloatingPointError:
+        raise ValueError("a squared norm, squared distance or kernel value overflows; input rejected") from None
 
 
 def kernel_eval(k: RealKernel, z1, z2) -> float:
-    """kappa by its definition on the R^(2*nu) identification of z1, z2."""
+    """kappa by its definition on the R^(2*nu) identification of z1, z2; an overflow raises."""
     u, v = embed(z1), embed(z2)
     if u.size != v.size:
         raise ValueError(f"dimension mismatch: {u.size // 2} vs {v.size // 2}")
-    if k.kind == GAUSSIAN:
-        diff = u - v
-        return float(np.exp(-(diff @ diff) / (k.sigma * k.sigma)))
-    return float((1.0 + u @ v) ** k.degree)
+    try:
+        with np.errstate(over="raise"):
+            if k.kind == GAUSSIAN:
+                diff = u - v
+                return float(np.exp(-(diff @ diff) / (k.sigma * k.sigma)))
+            return float((1.0 + u @ v) ** k.degree)
+    except FloatingPointError:
+        raise ValueError("a squared distance or kernel value overflows; input rejected") from None
 
 
 def polynomial_feature_map(u, degree: int) -> np.ndarray:

@@ -50,32 +50,31 @@ class ComplexNlms:
         self.mu = float(mu)
         self.eps = float(eps)
         self.widely_linear = bool(widely_linear)
-        # [h] or [h, g]: the weights of the (augmented) input
+        # [h] or [h, g], the weights of x and x*; after a stacked run, one such row per stream
         self._w = np.zeros(2 * n_taps if widely_linear else n_taps, dtype=complex)
 
     @property
     def h(self) -> np.ndarray:
         """Weights of x; a view, so writing into it changes the filter."""
-        return self._w[: self.n_taps]
+        return self._w[..., : self.n_taps]
 
     @h.setter
     def h(self, value) -> None:
-        self._w[: self.n_taps] = value
+        self._w[..., : self.n_taps] = value
 
     @property
     def g(self) -> Optional[np.ndarray]:
         """Weights of x* (a view), or None when the filter is strictly linear."""
-        return self._w[self.n_taps :] if self.widely_linear else None
+        return self._w[..., self.n_taps :] if self.widely_linear else None
 
     @g.setter
     def g(self, value) -> None:
         if not self.widely_linear:
             raise AttributeError("a strictly linear filter has no conjugate branch")
-        self._w[self.n_taps :] = value
+        self._w[..., self.n_taps :] = value
 
     def _sample(self, x) -> tuple[np.ndarray, float]:
-        """Validate one input vector; return the row the weights act on
-        (x, or [x, x*] when widely linear) and the power that normalizes its step."""
+        """Validate one input vector; return it and the power that normalizes its step."""
         x = np.atleast_1d(np.asarray(x, dtype=complex))
         if x.shape != (self.n_taps,):
             raise ValueError(f"input length {x.shape} does not match filter length ({self.n_taps},)")
@@ -83,50 +82,60 @@ class ComplexNlms:
         # a non-finite entry of x makes its power non-finite
         if not math.isfinite(power):
             raise ValueError("non-finite input sample; update rejected")
+        return x, 2.0 * power if self.widely_linear else power
+
+    def _weights(self) -> np.ndarray:
+        """The weights as a (1, taps) row; a filter holding the rows of a stacked run refuses this."""
+        if self._w.ndim != 1:
+            raise ValueError(f"the filter holds the {len(self._w)} weight rows of a stacked run")
+        return self._w[np.newaxis]
+
+    def _output(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """h^H x (+ g^H x*) for each weight row of w and input row of x, rows with unit stride."""
+        y = np.vecdot(w[:, : self.n_taps], x)
         if self.widely_linear:
-            return np.concatenate([x, x.conj()]), 2.0 * power
-        return x, power
+            # h^H x and g^H x* are summed apart, so that g = 0 leaves h^H x exact
+            y += np.vecdot(w[:, self.n_taps :], x.conj())
+        return y
+
+    def _step(self, w: np.ndarray, x: np.ndarray, gain, d) -> tuple[np.ndarray, np.ndarray]:
+        """The normalized-LMS step of R filters on R input rows, with gains mu / (power + eps)."""
+        y = self._output(w, x)
+        e = d - y
+        c = (gain * e.conj())[:, np.newaxis]
+        w[:, : self.n_taps] += c * x
+        if self.widely_linear:
+            w[:, self.n_taps :] += c * x.conj()
+        return y, e
 
     def predict(self, x) -> complex:
         """Filter output h^H x (+ g^H x* when widely linear)."""
-        return self._output(self._sample(x)[0])
-
-    def _output(self, x: np.ndarray) -> complex:
-        if not self.widely_linear:
-            return complex(np.vdot(self._w, x))
-        # h^H x and g^H x* are summed apart, so that g = 0 leaves h^H x exact
-        n = self.n_taps
-        return complex(np.vdot(self._w[:n], x[:n]) + np.vdot(self._w[n:], x[n:]))
-
-    def _update(self, x: np.ndarray, power: float, d: complex) -> tuple[complex, complex]:
-        """The normalized-LMS step on one validated (augmented) row x."""
-        y = self._output(x)
-        e = d - y
-        self._w += self.mu / (power + self.eps) * e.conjugate() * x
-        return y, e
+        return complex(self._output(self._weights(), self._sample(x)[0][np.newaxis])[0])
 
     def update(self, x, d: complex) -> tuple[complex, complex]:
         """One normalized-LMS step; returns (prediction, error), both pre-update."""
+        w = self._weights()
         x, power = self._sample(x)
         d = complex(d)
         if not cmath.isfinite(d):
             raise ValueError("non-finite input sample; update rejected")
         if not power + self.eps > 0:
             raise ValueError("zero input power with eps = 0; update rejected")
-        return self._update(x, power, d)
+        y, e = self._step(w, x[np.newaxis], self.mu / (power + self.eps), d)
+        return complex(y[0]), complex(e[0])
 
     def run(self, inputs, targets) -> np.ndarray:
-        """Update through a whole stream; return the N pre-update errors.
+        """Update through an (N, n_taps) stream with N targets; return the N pre-update errors.
 
-        inputs is an (N, n_taps) complex block with N targets. The block
-        is validated once, and a bad block raises before any state
-        changes. Each sample then takes the step of `update`, so the
-        errors and the final weights equal N calls of `update` bit for
-        bit. The run stops after the first step whose squared error is
-        not finite; the errors then end at that step.
+        An (R, N, n_taps) stack with (R, N) targets runs R filters from the current
+        weights and returns (R, N) errors; the filter then holds R weight rows (`h`
+        and `g` gain a leading axis) and refuses `predict`, `update` and `run`. Bad
+        input raises before any state changes. With unit-stride input rows, a
+        stream's errors and weights equal N calls of `update` bit for bit up to its
+        first non-finite squared error; the run stops once no stream has a finite one.
         """
         x = np.asarray(inputs, dtype=complex)
-        if x.ndim != 2 or x.shape[1] != self.n_taps:
+        if x.ndim not in (2, 3) or x.shape[-1] != self.n_taps:
             raise ValueError(f"input length {x.shape[1:]} does not match filter length ({self.n_taps},)")
         powers = row_sq_norms(x)
         if not np.isfinite(powers).all():
@@ -134,18 +143,22 @@ class ComplexNlms:
         if not (powers + self.eps > 0).all():
             raise ValueError("zero input power with eps = 0; run rejected")
         targets = np.asarray(targets, dtype=complex)
-        if targets.shape != x.shape[:1]:
-            raise ValueError(f"{x.shape[0]} inputs but targets of shape {targets.shape}")
+        if targets.shape != x.shape[:-1]:
+            raise ValueError(f"{x.shape[-2]} inputs but targets of shape {targets.shape}")
         if not np.isfinite(targets).all():
             raise ValueError("non-finite desired value; run rejected")
-        if self.widely_linear:
-            augmented = np.empty((x.shape[0], 2 * self.n_taps), dtype=complex)
-            augmented[:, : self.n_taps] = x
-            np.conjugate(x, out=augmented[:, self.n_taps :])
-            x, powers = augmented, 2.0 * powers
-        errors = np.empty(targets.size, dtype=complex)
-        for i, (row, power, d) in enumerate(zip(x, map(float, powers), map(complex, targets))):
-            e = errors[i] = self._update(row, power, d)[1]
-            if not math.isfinite(e.real * e.real + e.imag * e.imag):
-                return errors[: i + 1]
-        return errors
+        stacked = x.ndim == 3
+        x, targets, powers = (a if stacked else a[np.newaxis] for a in (x, targets, powers))
+        w = np.repeat(self._weights(), len(x), axis=0) if stacked else self._weights()
+        np.multiply(powers, 2.0 if self.widely_linear else 1.0, out=powers)  # in place, as a stack's gains are large
+        gains = np.divide(self.mu, np.add(powers, self.eps, out=powers), out=powers)
+        errors = np.empty(targets.shape[::-1], dtype=complex)
+        with np.errstate(all="ignore"):  # a diverged stream keeps stepping beside the others
+            for i, (x_i, gain, d) in enumerate(zip(x.swapaxes(0, 1), gains.T, targets.T)):
+                e = errors[i] = self._step(w, x_i, gain, d)[1]
+                # a finite sum of squared errors cheaply proves that one of them is finite
+                if not cmath.isfinite(np.vdot(e, e)) and not np.isfinite(e.real * e.real + e.imag * e.imag).any():
+                    errors = errors[: i + 1]
+                    break
+        self._w = w if stacked else w[0]  # w[0] views the weights that one stream updated in place
+        return errors.T if stacked else errors[:, 0]

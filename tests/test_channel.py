@@ -2,6 +2,7 @@
 dataset construction, and the Monte-Carlo harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ckaf.channel import (
     run_channel,
     run_experiment,
 )
-from ckaf.cklms import NoveltyCriterion
+from ckaf.cklms import CklmsFilter, NoveltyCriterion
+from ckaf.kernels import RealKernel
 from ckaf.linear import ComplexNlms
 
 RHO_CIRCULAR = math.sqrt(2.0) / 2.0
@@ -241,3 +243,87 @@ def test_benchmark_stability_smoke():
         res = f.step(ds.inputs[i], ds.targets[i])
         assert np.isfinite(res.prediction.real) and np.isfinite(res.prediction.imag)
     assert np.all(np.isfinite(f.coeffs))
+
+
+def test_stacked_dataset_equals_per_stream_datasets_with_unit_stride_windows():
+    rng = np.random.default_rng(40)
+    r = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    s = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    stacked = build_dataset(r, s, L=4, D=2)
+    assert len(stacked) == 10
+    for j in range(3):
+        single = build_dataset(r[j], s[j], L=4, D=2)
+        np.testing.assert_array_equal(stacked.inputs[j], single.inputs)
+        np.testing.assert_array_equal(stacked.targets[j], single.targets)
+        # the linear filters sum a window as np.vdot does only when its taps are adjacent in memory
+        assert single.inputs.strides[-1] == 16 and not single.inputs.flags.writeable
+    assert stacked.inputs.strides[-1] == 16
+    with pytest.raises(ValueError, match="shape"):
+        build_dataset(r, s[:2], L=4, D=2)
+
+
+def _per_run_curves(cfg, algorithms, n_samples, runs, seed):
+    """Squared errors and dictionary sizes summed run by run over step/update loops."""
+    sum_err = {name: 0.0 for name in algorithms}
+    sum_size = {name: 0.0 for name in algorithms}
+    for run_seed in np.random.SeedSequence(seed).spawn(runs):
+        source_seed, noise_seed = run_seed.spawn(2)
+        s = generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source_seed)
+        ds = build_dataset(run_channel(cfg, s, seed=noise_seed), s, L=5, D=2)
+        for name in algorithms:
+            if name == "cklms":
+                f = CklmsFilter(RealKernel.gaussian(5.0), mu=0.5, novelty=NoveltyCriterion(0.15, 0.2))
+                steps = [f.step(x, d) for x, d in zip(ds.inputs, ds.targets)]
+                errors = np.array([step.error for step in steps])
+                sizes = np.cumsum([step.admitted for step in steps], dtype=float)
+            else:
+                f = ComplexNlms(6, mu=1.0 / 16.0, widely_linear=name == "wl-nclms")
+                errors = np.array([f.update(x, d)[1] for x, d in zip(ds.inputs, ds.targets)])
+                sizes = np.zeros(len(ds))
+            sum_err[name] = sum_err[name] + (errors.real * errors.real + errors.imag * errors.imag)
+            sum_size[name] = sum_size[name] + sizes
+    return sum_err, sum_size
+
+
+def test_experiment_over_banks_equals_per_run_loops():
+    algorithms = ("cklms", "nclms", "wl-nclms")
+    cfg = ChannelConfig()
+    curves = run_experiment(algorithms, cfg, n_samples=300, runs=13, seed=6)
+    sum_err, sum_size = _per_run_curves(cfg, algorithms, 300, 13, 6)
+    for name in algorithms:
+        assert np.array_equal(curves[name].mse, sum_err[name] / 13)
+        assert np.array_equal(curves[name].dict_size, sum_size[name] / 13)
+
+
+def test_divergence_past_the_first_bank_names_the_run_of_the_per_run_loop():
+    # mu = 2.5 lies outside the NLMS stability range; at this length only some runs blow up in time
+    cfg = ChannelConfig()
+    for run, run_seed in enumerate(np.random.SeedSequence(3).spawn(13)):
+        source_seed, noise_seed = run_seed.spawn(2)
+        s = generate_source(2700, cfg.rho, cfg.amplitude, seed=source_seed)
+        ds = build_dataset(run_channel(cfg, s, seed=noise_seed), s, L=5, D=2)
+        f = ComplexNlms(6, mu=2.5)
+        errors = (f.update(x, d)[1] for x, d in zip(ds.inputs, ds.targets))
+        step = next((i for i, e in enumerate(errors) if not math.isfinite(e.real * e.real + e.imag * e.imag)), None)
+        if step is not None:
+            break
+    else:
+        pytest.fail("no run diverged")
+    assert run >= 10  # past the first bank of runs
+    message = f"nclms diverged: non-finite error at step {step} of run {run}"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        run_experiment(["nclms"], cfg, n_samples=2700, runs=13, mu={"nclms": 2.5}, seed=3)
+
+
+def test_experiment_memory_does_not_grow_with_runs():
+    algorithms = ("nclms", "wl-nclms")
+    run_experiment(algorithms, ChannelConfig(), n_samples=50, runs=2)  # first-call allocations
+    peaks = {}
+    for runs in (10, 40):
+        tracemalloc.start()
+        try:
+            run_experiment(algorithms, ChannelConfig(), n_samples=2000, runs=runs)
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[40] - peaks[10]) <= 0.1 * peaks[10]

@@ -450,3 +450,23 @@ def test_run_rejects_overflowing_input_power_state_unchanged():
     after = _snapshot(f)
     assert after[0] == before[0]
     assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "plain"])
+def test_polynomial_self_kernel_overflow_rejected_state_unchanged(normalized):
+    # (1 + ||u||^2)^5 passes the float range although ||u||^2 = 1e140 does not; it used to raise OverflowError
+    rng = np.random.default_rng(19)
+    f = CklmsFilter(RealKernel.polynomial(5), mu=0.1, normalized=normalized, novelty=NoveltyCriterion(0.1, 0.1))
+    f.run(*_random_stream(rng, 10, 1))
+    before = _snapshot(f)
+    for call in (lambda z: f.step(z, 1.0), f.predict, lambda z: f.admit(z, 1.0)):
+        with pytest.raises(ValueError, match="non-finite input sample"):
+            call([1e70 + 0j])
+    zs, ds = _random_stream(rng, 40, 1)
+    zs[30] = 1e70
+    with pytest.raises(ValueError, match="non-finite input sample"):
+        f.run(zs, ds)
+    after = _snapshot(f)
+    assert after[0] == before[0]
+    assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+    f.step([1e30 + 0j], 1.0)  # (1 + 1e60)^5 is finite

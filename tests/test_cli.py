@@ -212,6 +212,7 @@ class TestMain:
             ["--algorithm", "nclms", "--mu", "inf"],
             ["--algorithm", "cklms", "--snr-db=-3080"],
             ["--algorithm", "nclms", "--snr-db=-3080"],
+            ["--algorithm", "cklms", "--kernel", "polynomial", "--degree", "5", "--snr-db=-1400"],
         ],
         ids=lambda flags: " ".join(flags),
     )

@@ -283,3 +283,23 @@ def test_gaussian_sigma_needs_finite_square_and_inverse_square(sigma):
 def test_gaussian_sigma_extremes_with_finite_inverse_square_accepted():
     for sigma in (1e-150, 1e150):
         assert kernel_eval(RealKernel.gaussian(sigma), [1 + 1j], [1 + 1j]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "z, c",
+    [([1e200j], [1j]), ([1e154, 0j], [-1e154, 0j])],
+    ids=["norm-overflow", "distance-overflow"],
+)
+def test_overflowing_squared_distance_rejected(z, c):
+    # both used to warn and return kappa = 0; the second pair has finite squared norms
+    k = RealKernel.gaussian(1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        kernel_eval(k, z, c)
+    with pytest.raises(ValueError, match="overflows"):
+        kernel_eval_many(k, z, [c])
+
+
+def test_kernel_eval_many_rejects_center_whose_squared_norm_overflows():
+    for k in (RealKernel.gaussian(1.0), RealKernel.polynomial(2)):
+        with pytest.raises(ValueError, match="overflows"):
+            kernel_eval_many(k, [1j], [[1j], [1e200 + 0j]])

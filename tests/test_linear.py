@@ -1,5 +1,7 @@
 """Linear complex NLMS and widely-linear NLMS baseline tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,96 @@ def test_infinite_mu_rejected(wl):
     with pytest.raises(ValueError, match="finite"):
         ComplexNlms(2, mu=np.inf, widely_linear=wl)
     assert ComplexNlms(2, mu=0.0, widely_linear=wl).mu == 0.0
+
+
+def _update_loop(f, xs, ds):
+    """Errors of update over a stream, ending at the first non-finite squared error."""
+    errors = []
+    for x, d in zip(xs, ds):
+        e = f.update(x, d)[1]
+        errors.append(e)
+        if not math.isfinite(e.real * e.real + e.imag * e.imag):
+            break
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_stacked_run_matches_update_loops_with_one_stream_diverging(wl):
+    # at mu = 10 every stream diverges in time; targets scaled by 1e-250 put it off past the stream's end
+    streams = [_stream(30 + j, 500, 3) for j in range(3)]
+    xs = np.stack([x for x, _ in streams])
+    ds = np.stack([d * (1.0 if j == 1 else 1e-250) for j, (_, d) in enumerate(streams)])
+    stacked = ComplexNlms(3, mu=10.0, widely_linear=wl)
+    got = stacked.run(xs, ds)
+    assert got.shape == (3, 500)
+    for j in range(3):
+        ref = ComplexNlms(3, mu=10.0, widely_linear=wl)
+        errors = _update_loop(ref, xs[j], ds[j])
+        assert (errors.size < 500) == (j == 1)
+        assert np.array_equal(got[j, : errors.size], errors, equal_nan=True)
+        if j != 1:
+            assert np.array_equal(stacked.h[j], ref.h)
+            assert not wl or np.array_equal(stacked.g[j], ref.g)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_stacked_run_stops_once_every_stream_diverged(wl):
+    streams = [_stream(33 + j, 2000, 3) for j in range(2)]
+    xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
+    got = ComplexNlms(3, mu=10.0, widely_linear=wl).run(xs, ds)
+    lengths = [_update_loop(ComplexNlms(3, mu=10.0, widely_linear=wl), x, d).size for x, d in zip(xs, ds)]
+    assert max(lengths) < 2000
+    assert got.shape == (2, max(lengths))
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_single_stream_run_stops_with_the_weights_of_the_update_loop(wl):
+    rng = np.random.default_rng(0)
+    xs, ds = rng.standard_normal((3000, 3)).astype(complex), rng.standard_normal(3000).astype(complex)
+    ref = ComplexNlms(3, mu=50.0, widely_linear=wl)
+    errors = _update_loop(ref, xs, ds)
+    ran = ComplexNlms(3, mu=50.0, widely_linear=wl)
+    assert np.array_equal(ran.run(xs, ds), errors)
+    assert errors.size < 3000 and np.abs(ran.h).max() > 1e150
+    assert np.array_equal(ran.h, ref.h)
+    assert not wl or np.array_equal(ran.g, ref.g)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_stacked_run_starts_every_stream_from_the_current_weights(wl):
+    xs, ds = _stream(36, 40, 3)
+    warm = ComplexNlms(3, mu=0.5, widely_linear=wl)
+    warm.run(xs[:20], ds[:20])
+    single = ComplexNlms(3, mu=0.5, widely_linear=wl)
+    single.run(xs[:20], ds[:20])
+    expected = single.run(xs[20:], ds[20:])
+    got = warm.run(np.stack([xs[20:], xs[20:]]), np.stack([ds[20:], ds[20:]]))
+    assert np.array_equal(got, [expected, expected])
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_filter_holding_a_stack_refuses_single_stream_calls(wl):
+    f = ComplexNlms(3, mu=0.5, widely_linear=wl)
+    xs, ds = _stream(37, 50, 3)
+    f.run(np.stack([xs, 2 * xs]), np.stack([ds, ds]))
+    assert f.h.shape == (2, 3)
+    assert f.g is None if not wl else f.g.shape == (2, 3)
+    h = f.h.copy()
+    for call in (lambda: f.predict(xs[0]), lambda: f.update(xs[0], ds[0]), lambda: f.run(xs, ds)):
+        with pytest.raises(ValueError, match="stacked run"):
+            call()
+    assert np.array_equal(f.h, h)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_bad_stack_rejected_state_unchanged(wl):
+    f = ComplexNlms(3, mu=0.5, widely_linear=wl)
+    f.run(*_stream(38, 10, 3))
+    h = f.h.copy()
+    xs, ds = _stream(39, 40, 3)
+    bad_x = np.stack([xs, np.where(np.arange(40)[:, None] == 30, np.nan, xs)])
+    for stack_x, stack_d in ((bad_x, np.stack([ds, ds])), (np.stack([xs, xs]), np.stack([ds, ds[::-1]])[:, :-1])):
+        with pytest.raises(ValueError):
+            f.run(stack_x, stack_d)
+    assert np.array_equal(f.h, h)
+    assert f.update(xs[0], ds[0])  # still a single-stream filter
