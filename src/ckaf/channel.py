@@ -123,8 +123,8 @@ def run_channel(cfg: ChannelConfig, s, seed=None) -> np.ndarray:
 
 
 def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
-    """Build tapped-delay equalization pairs from received and source signals, or from (R, n) stacks
-    of them: inputs is a read-only view whose windows are unit-stride slices, targets a view of s."""
+    """Build tapped-delay equalization pairs from received and source signals, or from (R, n) stacks of them:
+    inputs is a read-only view of unit-stride windows, targets a view of s (a complex s is not copied)."""
     if L < 0 or D < 0:
         raise ValueError(f"L and D must be nonnegative, got L={L}, D={D}")
     r = np.asarray(r, dtype=complex)

@@ -128,18 +128,20 @@ def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.nd
     """Evaluate kappa(z, c) for every row c of `centers`.
 
     z is a length-nu complex vector, centers an (m, nu) complex array,
-    both with finite entries; returns a length-m float array, computed
-    by kernel_row on center columns laid out as CklmsFilter stores them; an overflow raises.
+    both with finite entries; returns a length-m float array, computed by
+    kernel_row on center columns laid out as CklmsFilter stores them; an overflow raises.
     """
     u, rows = embed(z), embed(np.atleast_2d(centers))
     if u.shape != rows.shape[1:]:
         raise ValueError(f"dimension mismatch: z of shape {np.shape(z)}, centers of width {rows.shape[1] // 2}")
-    try:
-        with np.errstate(over="raise"):
-            cols = np.vstack([np.vecdot(rows, rows), np.ones(len(rows)), rows.T])
-            return kernel_row(k, cols, lift(k, u, float(u @ u)))
-    except FloatingPointError:
-        raise ValueError("a squared norm, squared distance or kernel value overflows; input rejected") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        sq_norms, u_sq = row_sq_norms(rows), row_sq_norms(u)[0]
+        kappa = kernel_row(k, np.vstack([sq_norms, np.ones(len(rows)), rows.T]), lift(k, u, u_sq))
+        # ||u - c||^2 <= 2 ||u||^2 + 2 ||c||^2, so the distances are computed only when that bound overflows
+        dist_sq = row_sq_norms(rows - u) if not np.isfinite(2.0 * (u_sq + sq_norms.max())) else 0.0
+    if not all(np.isfinite(a).all() for a in (u_sq, sq_norms, dist_sq, kappa)):
+        raise ValueError("a squared norm, squared distance or kernel value overflows; input rejected")
+    return kappa
 
 
 def kernel_eval(k: RealKernel, z1, z2) -> float:
@@ -147,14 +149,12 @@ def kernel_eval(k: RealKernel, z1, z2) -> float:
     u, v = embed(z1), embed(z2)
     if u.size != v.size:
         raise ValueError(f"dimension mismatch: {u.size // 2} vs {v.size // 2}")
-    try:
-        with np.errstate(over="raise"):
-            if k.kind == GAUSSIAN:
-                diff = u - v
-                return float(np.exp(-(diff @ diff) / (k.sigma * k.sigma)))
-            return float((1.0 + u @ v) ** k.degree)
-    except FloatingPointError:
-        raise ValueError("a squared distance or kernel value overflows; input rejected") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        dist_sq = row_sq_norms(u - v)[0]
+        kappa = np.exp(-dist_sq / (k.sigma * k.sigma)) if k.kind == GAUSSIAN else (1.0 + u @ v) ** k.degree
+    if not (np.isfinite(dist_sq) and np.isfinite(kappa)):
+        raise ValueError("a squared distance or kernel value overflows; input rejected")
+    return float(kappa)
 
 
 def polynomial_feature_map(u, degree: int) -> np.ndarray:

@@ -262,6 +262,21 @@ def test_stacked_dataset_equals_per_stream_datasets_with_unit_stride_windows():
         build_dataset(r, s[:2], L=4, D=2)
 
 
+def test_dataset_targets_alias_a_complex_source_and_inputs_are_read_only():
+    r = np.arange(8, dtype=complex)
+    s = np.arange(8, dtype=complex) * 1j
+    ds = build_dataset(r, s, L=2, D=1)
+    # targets views s, not a copy: a later write into s shows in the dataset
+    assert np.shares_memory(ds.targets, s) and ds.targets.flags.writeable
+    s[0] = 99.0
+    assert ds.targets[0] == 99.0
+    # a real s is converted, so the dataset holds its own complex copy
+    s_real = np.arange(8.0)
+    assert not np.shares_memory(build_dataset(r, s_real, L=2, D=1).targets, s_real)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.inputs[0, 0] = 1.0
+
+
 def _per_run_curves(cfg, algorithms, n_samples, runs, seed):
     """Squared errors and dictionary sizes summed run by run over step/update loops."""
     sum_err = {name: 0.0 for name in algorithms}

@@ -303,3 +303,17 @@ def test_kernel_eval_many_rejects_center_whose_squared_norm_overflows():
     for k in (RealKernel.gaussian(1.0), RealKernel.polynomial(2)):
         with pytest.raises(ValueError, match="overflows"):
             kernel_eval_many(k, [1j], [[1j], [1e200 + 0j]])
+
+
+@pytest.mark.parametrize("kernel", [RealKernel.gaussian(1.0), RealKernel.polynomial(1)], ids=["gaussian", "polynomial"])
+def test_kernel_eval_checks_distance_with_warning_free_norm(kernel):
+    # a squared distance past the float range is rejected for either kernel, and no warning escapes
+    for z, c in (([1j], [1e200 + 0j]), ([1e154, 0j], [-1e154, 0j])):
+        with pytest.raises(ValueError, match="overflows"):
+            kernel_eval(kernel, z, c)
+        with pytest.raises(ValueError, match="overflows"):
+            kernel_eval_many(kernel, z, [[1j] * len(z), c])
+    # an exponent past the float range is kappa = 0 from both, not an error
+    tight = RealKernel.gaussian(1e-150)
+    assert kernel_eval(tight, [1j], [2j]) == 0.0
+    np.testing.assert_array_equal(kernel_eval_many(tight, [1j], [[2j], [1j]]), [0.0, 1.0])
