@@ -171,11 +171,6 @@ class CklmsFilter:
         """Filter output at z; an empty dictionary predicts 0."""
         return self._output(self._row(self._sample(z)[2]))
 
-    def admit(self, z, e: complex) -> bool:
-        """Novelty decision for a candidate center with prediction error e."""
-        _, u_sq, q = self._sample(z)
-        return self._novel(u_sq, self._row(q), e)
-
     def step(self, z, d: complex) -> StepResult:
         """Process one sample: predict, measure the error, maybe grow."""
         u, u_sq, q = self._sample(z)

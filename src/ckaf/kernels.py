@@ -125,36 +125,26 @@ def self_kernel(k: RealKernel, sq_norm):
 
 
 def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Evaluate kappa(z, c) for every row c of `centers`.
+    """kappa(z, c) by its definition on the R^(2*nu) identification, for every row c of `centers`.
 
-    z is a length-nu complex vector, centers an (m, nu) complex array,
-    both with finite entries; returns a length-m float array, computed by
-    kernel_row on center columns laid out as CklmsFilter stores them; an overflow raises.
+    z is a length-nu complex vector, centers an (m, nu) complex array, both
+    with finite entries; returns a length-m float array. A squared distance
+    or kernel value that overflows raises.
     """
     u, rows = embed(z), embed(np.atleast_2d(centers))
     if u.shape != rows.shape[1:]:
         raise ValueError(f"dimension mismatch: z of shape {np.shape(z)}, centers of width {rows.shape[1] // 2}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        sq_norms, u_sq = row_sq_norms(rows), row_sq_norms(u)[0]
-        kappa = kernel_row(k, np.vstack([sq_norms, np.ones(len(rows)), rows.T]), lift(k, u, u_sq))
-        # ||u - c||^2 <= 2 ||u||^2 + 2 ||c||^2, so the distances are computed only when that bound overflows
-        dist_sq = row_sq_norms(rows - u) if not np.isfinite(2.0 * (u_sq + sq_norms.max())) else 0.0
-    if not all(np.isfinite(a).all() for a in (u_sq, sq_norms, dist_sq, kappa)):
-        raise ValueError("a squared norm, squared distance or kernel value overflows; input rejected")
+        dist_sq = row_sq_norms(rows - u)
+        kappa = np.exp(-dist_sq / (k.sigma * k.sigma)) if k.kind == GAUSSIAN else (1.0 + rows @ u) ** k.degree
+    if not (np.isfinite(dist_sq) & np.isfinite(kappa)).all():
+        raise ValueError("a squared distance or kernel value overflows; input rejected")
     return kappa
 
 
 def kernel_eval(k: RealKernel, z1, z2) -> float:
-    """kappa by its definition on the R^(2*nu) identification of z1, z2; an overflow raises."""
-    u, v = embed(z1), embed(z2)
-    if u.size != v.size:
-        raise ValueError(f"dimension mismatch: {u.size // 2} vs {v.size // 2}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        dist_sq = row_sq_norms(u - v)[0]
-        kappa = np.exp(-dist_sq / (k.sigma * k.sigma)) if k.kind == GAUSSIAN else (1.0 + u @ v) ** k.degree
-    if not (np.isfinite(dist_sq) and np.isfinite(kappa)):
-        raise ValueError("a squared distance or kernel value overflows; input rejected")
-    return float(kappa)
+    """kappa(z1, z2): kernel_eval_many with the one center z2."""
+    return float(kernel_eval_many(k, z1, [z2])[0])
 
 
 def polynomial_feature_map(u, degree: int) -> np.ndarray:

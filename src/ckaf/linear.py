@@ -50,28 +50,28 @@ class ComplexNlms:
         self.mu = float(mu)
         self.eps = float(eps)
         self.widely_linear = bool(widely_linear)
-        # [h] or [h, g], the weights of x and x*; after a stacked run, one such row per stream
+        # [h] or [h, g], the weights of x and x*
         self._w = np.zeros(2 * n_taps if widely_linear else n_taps, dtype=complex)
 
     @property
     def h(self) -> np.ndarray:
         """Weights of x; a view, so writing into it changes the filter."""
-        return self._w[..., : self.n_taps]
+        return self._w[: self.n_taps]
 
     @h.setter
     def h(self, value) -> None:
-        self._w[..., : self.n_taps] = value
+        self._w[: self.n_taps] = value
 
     @property
     def g(self) -> Optional[np.ndarray]:
         """Weights of x* (a view), or None when the filter is strictly linear."""
-        return self._w[..., self.n_taps :] if self.widely_linear else None
+        return self._w[self.n_taps :] if self.widely_linear else None
 
     @g.setter
     def g(self, value) -> None:
         if not self.widely_linear:
             raise AttributeError("a strictly linear filter has no conjugate branch")
-        self._w[..., self.n_taps :] = value
+        self._w[self.n_taps :] = value
 
     def _sample(self, x) -> tuple[np.ndarray, float]:
         """Validate one input vector; return it and the power that normalizes its step."""
@@ -83,12 +83,6 @@ class ComplexNlms:
         if not math.isfinite(power):
             raise ValueError("non-finite input sample; update rejected")
         return x, 2.0 * power if self.widely_linear else power
-
-    def _weights(self) -> np.ndarray:
-        """The weights as a (1, taps) row; a filter holding the rows of a stacked run refuses this."""
-        if self._w.ndim != 1:
-            raise ValueError(f"the filter holds the {len(self._w)} weight rows of a stacked run")
-        return self._w[np.newaxis]
 
     def _output(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """h^H x (+ g^H x*) for each weight row of w and input row of x, rows with unit stride."""
@@ -110,33 +104,34 @@ class ComplexNlms:
 
     def predict(self, x) -> complex:
         """Filter output h^H x (+ g^H x* when widely linear)."""
-        return complex(self._output(self._weights(), self._sample(x)[0][np.newaxis])[0])
+        return complex(self._output(self._w[np.newaxis], self._sample(x)[0][np.newaxis])[0])
 
     def update(self, x, d: complex) -> tuple[complex, complex]:
         """One normalized-LMS step; returns (prediction, error), both pre-update."""
-        w = self._weights()
         x, power = self._sample(x)
         d = complex(d)
         if not cmath.isfinite(d):
-            raise ValueError("non-finite input sample; update rejected")
+            raise ValueError("non-finite desired value; update rejected")
         if not power + self.eps > 0:
             raise ValueError("zero input power with eps = 0; update rejected")
-        y, e = self._step(w, x[np.newaxis], self.mu / (power + self.eps), d)
+        y, e = self._step(self._w[np.newaxis], x[np.newaxis], self.mu / (power + self.eps), d)
         return complex(y[0]), complex(e[0])
 
     def run(self, inputs, targets) -> np.ndarray:
         """Update through an (N, n_taps) stream with N targets; return the N pre-update errors.
 
-        An (R, N, n_taps) stack with (R, N) targets runs R filters from the current
-        weights and returns (R, N) errors; the filter then holds R weight rows (`h`
-        and `g` gain a leading axis) and refuses `predict`, `update` and `run`. Bad
-        input raises before any state changes. With unit-stride input rows, a
-        stream's errors and weights equal N calls of `update` bit for bit up to its
-        first non-finite squared error; the run stops once no stream has a finite one.
+        An (R, N, n_taps) stack with (R, N) targets steps R copies of the current
+        weights and returns (R, N) errors; the filter's own weights stay as they
+        were. Bad input raises before any state changes. With unit-stride input
+        rows, a stream's errors (and a single stream's weights) equal N calls of
+        `update` bit for bit up to its first non-finite squared error; the run
+        stops once no stream has a finite one.
         """
         x = np.asarray(inputs, dtype=complex)
-        if x.ndim not in (2, 3) or x.shape[-1] != self.n_taps:
-            raise ValueError(f"input length {x.shape[1:]} does not match filter length ({self.n_taps},)")
+        if x.ndim not in (2, 3):
+            raise ValueError(f"expected an (N, {self.n_taps}) block or an (R, N, {self.n_taps}) stack, got shape {x.shape}")
+        if x.shape[-1] != self.n_taps:
+            raise ValueError(f"input length {x.shape[-1:]} does not match filter length ({self.n_taps},)")
         powers = row_sq_norms(x)
         if not np.isfinite(powers).all():
             raise ValueError("non-finite input sample; run rejected")
@@ -149,7 +144,8 @@ class ComplexNlms:
             raise ValueError("non-finite desired value; run rejected")
         stacked = x.ndim == 3
         x, targets, powers = (a if stacked else a[np.newaxis] for a in (x, targets, powers))
-        w = np.repeat(self._weights(), len(x), axis=0) if stacked else self._weights()
+        # a stack steps copies of the weights; one stream steps the filter's own in place
+        w = np.repeat(self._w[np.newaxis], len(x), axis=0) if stacked else self._w[np.newaxis]
         np.multiply(powers, 2.0 if self.widely_linear else 1.0, out=powers)  # in place, as a stack's gains are large
         gains = np.divide(self.mu, np.add(powers, self.eps, out=powers), out=powers)
         errors = np.empty(targets.shape[::-1], dtype=complex)
@@ -160,5 +156,4 @@ class ComplexNlms:
                 if not cmath.isfinite(np.vdot(e, e)) and not np.isfinite(e.real * e.real + e.imag * e.imag).any():
                     errors = errors[: i + 1]
                     break
-        self._w = w if stacked else w[0]  # w[0] views the weights that one stream updated in place
         return errors.T if stacked else errors[:, 0]

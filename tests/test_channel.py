@@ -207,6 +207,11 @@ class TestExperiment:
         with pytest.raises(ValueError, match="unknown"):
             run_experiment(["rls"], ChannelConfig(), n_samples=50, runs=1)
 
+    def test_repeated_algorithm_rejected(self):
+        # a repeated name used to add its squared errors into one curve twice
+        with pytest.raises(ValueError, match="repeated"):
+            run_experiment(["nclms", "cklms", "nclms"], ChannelConfig(), n_samples=50, runs=1)
+
     @pytest.mark.parametrize("smooth", [0, -3])
     def test_nonpositive_smoothing_window_rejected(self, smooth):
         with pytest.raises(ValueError, match="smooth"):

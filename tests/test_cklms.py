@@ -1,16 +1,23 @@
 """Complex kernel LMS tests, checked against independent recursions."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from ckaf.cklms import CklmsFilter, NoveltyCriterion, instantaneous_cost_check, load_dictionary
-from ckaf.kernels import RealKernel, kernel_eval
+from ckaf.kernels import RealKernel, kernel_eval, kernel_eval_many
 
 
 def _random_stream(rng, n, dim):
     zs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     ds = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return zs, ds
+
+
+def _admits(f, z, e):
+    """Whether a step of f at z with prediction error e admits z; f itself is left unchanged."""
+    return copy.deepcopy(f).step(z, f.predict(z) + e).admitted
 
 
 class ComplexFormReference:
@@ -121,13 +128,13 @@ class TestStep:
 class TestNovelty:
     def test_empty_dictionary_admits_large_error(self):
         f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5, novelty=NoveltyCriterion(0.15, 0.2))
-        assert f.admit([1j], 1.0)
+        assert _admits(f, [1j], 1.0)
 
     def test_duplicate_center_rejected(self):
         f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5, novelty=NoveltyCriterion(0.15, 0.2))
         z = np.array([0.4 + 0.2j])
         f.step(z, 5.0)
-        assert not f.admit(z, 10.0)  # dis = 0 < delta1 regardless of error
+        assert not _admits(f, z, 10.0)  # dis = 0 < delta1 regardless of error
 
     def test_small_error_rejected(self):
         f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5, novelty=NoveltyCriterion(0.15, 0.2))
@@ -147,8 +154,8 @@ class TestNovelty:
         r_in = sigma * np.sqrt(-np.log(kappa_cut * 1.0000001))
         # clearly outside
         r_out = sigma * np.sqrt(-np.log(kappa_cut * 0.999))
-        assert not f.admit([complex(r_in, 0)], 10.0)
-        assert f.admit([complex(r_out, 0)], 10.0)
+        assert not _admits(f, [complex(r_in, 0)], 10.0)
+        assert _admits(f, [complex(r_out, 0)], 10.0)
 
     def test_distance_threshold_polynomial(self):
         # ||Phi(z) - Phi(c)||^2 = 2 (kappa(z,z) - 2 kappa(z,c) + kappa(c,c))
@@ -164,7 +171,7 @@ class TestNovelty:
         decided = np.abs(dist - d1) > 1e-9
         assert decided.sum() > 190
         for z, far in zip(zs[decided], dist[decided] >= d1):
-            assert f.admit(z, 10.0) == far
+            assert _admits(f, z, 10.0) == far
 
     def test_repeated_center_distance_zero(self):
         # the norm expansion leaves only rounding residue, far below 1e-6
@@ -175,7 +182,7 @@ class TestNovelty:
             for z, d in zip(zs, ds):
                 f.step(z, d)
             for z in f.centers:
-                assert not f.admit(z, 10.0)
+                assert not _admits(f, z, 10.0)
 
     def test_novelty_none_admits_everything(self):
         rng = np.random.default_rng(1)
@@ -209,18 +216,31 @@ class TestNovelty:
 
 @pytest.mark.parametrize("kernel", [RealKernel.gaussian(1.0), RealKernel.polynomial(2)], ids=["gaussian", "polynomial"])
 def test_step_agrees_with_predict_and_admit(kernel):
+    # the gate by its definition: admit when |e| >= delta2 and the feature-space
+    # distance to every center, sqrt(2 (kappa(z,z) - 2 kappa(z,c) + kappa(c,c))), is >= delta1
     rng = np.random.default_rng(10)
-    f = CklmsFilter(kernel, mu=0.3, novelty=NoveltyCriterion(0.5, 0.3))
+    d1, d2 = 0.5, 0.3
+    f = CklmsFilter(kernel, mu=0.3, novelty=NoveltyCriterion(d1, d2))
     zs, ds = _random_stream(rng, 300, 1)
     outcomes = set()
+    kcc = []  # kappa(c, c) of each center, in the order of f.centers
     for z, d in zip(zs, ds):
         y = f.predict(z)
-        admitted = f.admit(z, d - y)
+        kzz = kernel_eval(kernel, z, z)
+        dist = np.inf
+        if kcc:
+            dist_sq = 2.0 * (kzz - 2.0 * kernel_eval_many(kernel, z, f.centers) + kcc)
+            dist = np.sqrt(max(dist_sq.min(), 0.0))
         res = f.step(z, d)
         assert res.prediction == y
         assert res.error == d - y
+        if res.admitted:
+            kcc.append(kzz)
+        if abs(d - y) >= d2 and abs(dist - d1) <= 1e-9:
+            continue  # too close to delta1 for the expansion and the direct difference to agree
+        admitted = abs(d - y) >= d2 and dist >= d1
         assert res.admitted == admitted
-        outcomes.add("admitted" if admitted else "distance" if abs(d - y) >= 0.3 else "error")
+        outcomes.add("admitted" if admitted else "distance" if abs(d - y) >= d2 else "error")
     assert outcomes == {"admitted", "distance", "error"}
 
 
@@ -430,7 +450,7 @@ def test_step_rejects_overflowing_input_power_state_unchanged():
     f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
     f.run(*_random_stream(rng, 10, 2))
     before = _snapshot(f)
-    for call in (lambda z: f.step(z, 1.0), f.predict, lambda z: f.admit(z, 1.0)):
+    for call in (lambda z: f.step(z, 1.0), f.predict):
         with pytest.raises(ValueError, match="non-finite input sample"):
             call([1e200 + 0j, 1j])
     after = _snapshot(f)
@@ -459,7 +479,7 @@ def test_polynomial_self_kernel_overflow_rejected_state_unchanged(normalized):
     f = CklmsFilter(RealKernel.polynomial(5), mu=0.1, normalized=normalized, novelty=NoveltyCriterion(0.1, 0.1))
     f.run(*_random_stream(rng, 10, 1))
     before = _snapshot(f)
-    for call in (lambda z: f.step(z, 1.0), f.predict, lambda z: f.admit(z, 1.0)):
+    for call in (lambda z: f.step(z, 1.0), f.predict):
         with pytest.raises(ValueError, match="non-finite input sample"):
             call([1e70 + 0j])
     zs, ds = _random_stream(rng, 40, 1)
