@@ -18,7 +18,7 @@ from .channel import (
     run_channel,
     run_experiment,
 )
-from .cklms import CklmsFilter, NoveltyCriterion, RunResult, StepResult, instantaneous_cost_check, load_dictionary
+from .cklms import CklmsFilter, NoveltyCriterion, RunResult, StepResult, instantaneous_cost_check
 from .kernels import (
     RealKernel,
     embed,
@@ -54,7 +54,6 @@ __all__ = [
     "instantaneous_cost_check",
     "kernel_eval",
     "kernel_eval_many",
-    "load_dictionary",
     "numeric_wirtinger",
     "polynomial_feature_map",
     "property_suite",

@@ -77,6 +77,9 @@ class CklmsFilter:
     novelty:
         Optional NoveltyCriterion controlling dictionary growth; None
         admits every sample.
+
+    `pickle` and `copy.deepcopy` carry the whole filter, configuration
+    included, so a restored copy continues the stream bit for bit.
     """
 
     def __init__(
@@ -230,38 +233,6 @@ class CklmsFilter:
         self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
         self._n = n + 1
 
-    def save_dictionary(self, path) -> None:
-        """Write the dictionary as flat text, one line per entry.
-
-        Each line holds the center components followed by the (a, b)
-        coefficient a + ib, every complex number as a real/imaginary
-        pair of decimal floats, full double precision.
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            for row, coeff in zip(self.centers, self.coeffs):
-                parts = []
-                for v in row:
-                    parts.append(f"{float(v.real)!r} {float(v.imag)!r}")
-                parts.append(f"{float(coeff.real)!r} {float(coeff.imag)!r}")
-                fh.write(" ".join(parts) + "\n")
-
-
-def load_dictionary(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dictionary written by save_dictionary: (centers, coeffs)."""
-    centers = []
-    coeffs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            vals = [float(tok) for tok in line.split()]
-            if len(vals) < 4 or len(vals) % 2:
-                raise ValueError(f"malformed dictionary line: {line!r}")
-            cplx = [complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
-            centers.append(cplx[:-1])
-            coeffs.append(cplx[-1])
-    if not centers:
-        return np.empty((0, 0), dtype=complex), np.empty(0, dtype=complex)
-    return np.asarray(centers, dtype=complex), np.asarray(coeffs, dtype=complex)
-
 
 def instantaneous_cost_check(
     n_trials: int = 50,
@@ -278,6 +249,8 @@ def instantaneous_cost_check(
     -e* Phi(z) (and its conjugate, since the cost is real) can be
     compared against finite differences.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rng = np.random.default_rng(rng_seed)
     reports = []
     for _ in range(n_trials):

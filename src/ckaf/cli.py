@@ -152,13 +152,17 @@ def run_equalize(args: argparse.Namespace) -> int:
 
 
 def run_gradcheck(seed: int) -> int:
-    report = property_suite(rng_seed=seed)
+    try:
+        report = property_suite(rng_seed=seed)
+        cost_reports = instantaneous_cost_check(rng_seed=seed)
+    except ValueError as exc:
+        print(f"ckaf gradcheck: error: {exc}", file=sys.stderr)
+        return 2
     print(f"wirtinger property suite (seed {seed}, {report.trials} trials/property, tol {report.tol:g})")
     for result in report.results:
         print(f"  {result}")
         if not result.passed and result.witness is not None:
             print(f"       witness point: {result.witness}")
-    cost_reports = instantaneous_cost_check(rng_seed=seed)
     worst = max(r.error for r in cost_reports)
     cost_ok = all(r.passed for r in cost_reports)
     status = "PASS" if cost_ok else "FAIL"
@@ -181,7 +185,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.subcommand == "gradcheck":
         return run_gradcheck(args.seed)
     return run_equalize(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

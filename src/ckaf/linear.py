@@ -58,20 +58,10 @@ class ComplexNlms:
         """Weights of x; a view, so writing into it changes the filter."""
         return self._w[: self.n_taps]
 
-    @h.setter
-    def h(self, value) -> None:
-        self._w[: self.n_taps] = value
-
     @property
     def g(self) -> Optional[np.ndarray]:
         """Weights of x* (a view), or None when the filter is strictly linear."""
         return self._w[self.n_taps :] if self.widely_linear else None
-
-    @g.setter
-    def g(self, value) -> None:
-        if not self.widely_linear:
-            raise AttributeError("a strictly linear filter has no conjugate branch")
-        self._w[self.n_taps :] = value
 
     def _sample(self, x) -> tuple[np.ndarray, float]:
         """Validate one input vector; return it and the power that normalizes its step."""

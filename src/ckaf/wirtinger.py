@@ -227,6 +227,8 @@ def property_suite(rng_seed: int = 0, trials: int = 100, tol: float = 1e-6, max_
     Taylor expansion, the four inner-product derivative forms, and the
     product rule for holomorphic factors.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(rng_seed)
     report = SuiteReport(seed=rng_seed, trials=trials, tol=tol)
 

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from ckaf.cklms import CklmsFilter, NoveltyCriterion, instantaneous_cost_check, load_dictionary
+from ckaf.cklms import CklmsFilter, NoveltyCriterion, instantaneous_cost_check
 from ckaf.kernels import RealKernel, kernel_eval, kernel_eval_many
 
 
@@ -292,35 +292,17 @@ def test_coefficients_stay_finite_on_long_stream():
     assert np.all(np.isfinite(f.coeffs))
 
 
-def test_dictionary_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    f = CklmsFilter(RealKernel.gaussian(2.0), mu=0.3)
-    zs, ds = _random_stream(rng, 25, 3)
-    for z, d in zip(zs, ds):
-        f.step(z, d)
-    path = tmp_path / "dictionary.txt"
-    f.save_dictionary(path)
-    centers, coeffs = load_dictionary(path)
-    np.testing.assert_array_equal(centers, f.centers)
-    np.testing.assert_array_equal(coeffs, f.coeffs)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 25
-    # one line per entry: 3 complex center components + coefficient = 8 floats
-    assert all(len(line.split()) == 8 for line in lines)
-
-
-def test_load_dictionary_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1.0 2.0 3.0\n")
-    with pytest.raises(ValueError, match="malformed"):
-        load_dictionary(path)
-
-
 def test_instantaneous_cost_gradient_surrogate():
     """Analytic -e* Phi(z) against finite differences in the explicit
     polynomial-feature surrogate."""
     reports = instantaneous_cost_check(n_trials=10, tol=1e-5, rng_seed=0)
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("n_trials", [0, -5])
+def test_instantaneous_cost_check_rejects_no_trials(n_trials):
+    with pytest.raises(ValueError, match="n_trials"):
+        instantaneous_cost_check(n_trials=n_trials)
 
 
 def _snapshot(f):

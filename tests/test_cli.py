@@ -1,10 +1,15 @@
 """CLI contract tests: argument parsing, CSV emission, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ckaf
 import ckaf.wirtinger
 from ckaf import cli
 from ckaf.channel import ChannelConfig, run_experiment
@@ -240,6 +245,21 @@ class TestMain:
         cli.main(["gradcheck", "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_gradcheck_negative_seed_exits_2(self, capsys):
+        assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ckaf gradcheck: error: ")
+
+    def test_module_entry_point_exit_code(self):
+        """`python -m ckaf` passes main's exit code to the process."""
+        env = {**os.environ, "PYTHONPATH": str(Path(ckaf.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ckaf", "gradcheck", "--seed", "-1"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ckaf gradcheck: error: ")
 
     def test_gradcheck_detects_injected_sign_error(self, monkeypatch, capsys):
         true_numeric = ckaf.wirtinger.numeric_wirtinger

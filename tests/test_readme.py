@@ -1,0 +1,16 @@
+"""The README's library sketch runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_sketch_runs():
+    section = README.read_text(encoding="utf-8").split("## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["out"].errors.shape == (200,)
+    assert namespace["bank"].shape == (4, 50)

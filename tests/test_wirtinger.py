@@ -103,6 +103,12 @@ def test_property_suite_all_pass():
     assert [r.number for r in report.results] == list(range(1, 12))
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_property_suite_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        property_suite(trials=trials)
+
+
 def test_property_suite_deterministic():
     r1 = property_suite(rng_seed=7, trials=20)
     r2 = property_suite(rng_seed=7, trials=20)
