@@ -197,10 +197,13 @@ def run_experiment(
     steps = dict(DEFAULT_MU)
     steps.update(mu or {})
     kernel = kernel if kernel is not None else RealKernel.gaussian(DEFAULT_SIGMA)
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    unknown = [a for a in [*algorithms, *steps] if a not in ALGORITHMS]
     # a repeated name would add its squared errors into one curve once per occurrence
     if unknown or len(set(algorithms)) != len(algorithms):
-        raise ValueError(f"unknown or repeated algorithms in {list(algorithms)}; expected distinct names among {ALGORITHMS}")
+        raise ValueError(
+            f"unknown or repeated algorithms in {list(algorithms)} or mu keys {list(steps)};"
+            f" expected distinct names among {ALGORITHMS}"
+        )
 
     run_seeds = np.random.SeedSequence(seed).spawn(runs)
     sum_err = dict.fromkeys(algorithms, 0.0)

@@ -41,8 +41,9 @@ class RealKernel:
             if not (sigma > 0 and 0 < sigma * sigma < np.inf and np.isfinite(2.0 / (sigma * sigma))):
                 raise ValueError(f"gaussian kernel requires finite sigma^2 > 0 and 1/sigma^2, got {self.sigma}")
         elif self.kind == POLYNOMIAL:
-            if self.degree is None or int(self.degree) < 1:
-                raise ValueError(f"polynomial kernel requires degree >= 1, got {self.degree}")
+            # an integer type: a fractional power of a negative 1 + u.v is NaN
+            if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 1):
+                raise ValueError(f"polynomial kernel requires an integer degree >= 1, got {self.degree!r}")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
@@ -52,18 +53,18 @@ class RealKernel:
 
     @classmethod
     def polynomial(cls, degree: int) -> "RealKernel":
-        return cls(POLYNOMIAL, degree=int(degree))
+        return cls(POLYNOMIAL, degree=degree)
 
 
 def embed(z) -> np.ndarray:
     """Map z in C^nu to (Re z_1..Re z_nu, Im z_1..Im z_nu) in R^(2*nu).
 
-    z must be a 1-D complex vector, or an (N, nu) block of them that is
-    embedded row by row, with finite entries.
+    z must be a 1-D complex vector with nu >= 1, or an (N, nu) block of
+    them that is embedded row by row, with finite entries.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.ndim > 2:
-        raise ValueError(f"expected a complex vector or an (N, nu) block of them, got shape {z.shape}")
+    if z.ndim > 2 or z.shape[-1] == 0:
+        raise ValueError(f"expected a nonempty complex vector or an (N, nu) block of them, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("complex input vector contains non-finite entries")
     return np.concatenate([z.real, z.imag], axis=-1)

@@ -16,6 +16,7 @@ the analytic updates used by the adaptive filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,21 +77,15 @@ class GradientCheckReport:
 
     passed: bool
     error: float
-    best_step: float
     tol: float
-    errors_d_z: np.ndarray
-    errors_d_zstar: np.ndarray
-
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} max relative error {self.error:.3e} (h={self.best_step:g}, tol={self.tol:g})"
 
 
-def _pair_errors(numeric: WirtingerPair, analytic: WirtingerPair) -> tuple[np.ndarray, np.ndarray]:
-    # per-coordinate, relative to max(1, |expected|) so exact zeros are absolute
-    e_z = np.abs(numeric.d_z - analytic.d_z) / np.maximum(1.0, np.abs(analytic.d_z))
-    e_zs = np.abs(numeric.d_zstar - analytic.d_zstar) / np.maximum(1.0, np.abs(analytic.d_zstar))
-    return e_z, e_zs
+def _pair_error(numeric: WirtingerPair, analytic: WirtingerPair) -> float:
+    # max over coordinates, each relative to max(1, |expected|) so exact zeros are absolute
+    return max(
+        float(np.max(np.abs(num - ana) / np.maximum(1.0, np.abs(ana))))
+        for num, ana in ((numeric.d_z, analytic.d_z), (numeric.d_zstar, analytic.d_zstar))
+    )
 
 
 def check_gradient(
@@ -108,22 +103,8 @@ def check_gradient(
         raise ValueError(f"tol must be positive, got {tol}")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     ana = analytic(w)
-    best = None
-    for h in STEP_LADDER:
-        num = numeric_wirtinger(f, w, h)
-        e_z, e_zs = _pair_errors(num, ana)
-        err = max(float(np.max(e_z)), float(np.max(e_zs)))
-        if best is None or err < best[0]:
-            best = (err, h, e_z, e_zs)
-    err, h, e_z, e_zs = best
-    return GradientCheckReport(
-        passed=err < tol,
-        error=err,
-        best_step=h,
-        tol=tol,
-        errors_d_z=e_z,
-        errors_d_zstar=e_zs,
-    )
+    err = min(_pair_error(numeric_wirtinger(f, w, h), ana) for h in STEP_LADDER)
+    return GradientCheckReport(passed=err < tol, error=err, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +124,6 @@ class PropertyResult:
     name: str
     trials: int
     max_error: float
-    tol: float
     passed: bool
     witness: Optional[np.ndarray] = None
 
@@ -154,7 +134,6 @@ class PropertyResult:
 
 @dataclass
 class SuiteReport:
-    seed: int
     trials: int
     tol: float
     results: list[PropertyResult] = field(default_factory=list)
@@ -162,11 +141,6 @@ class SuiteReport:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def __str__(self):
-        lines = [str(r) for r in self.results]
-        lines.append("all properties passed" if self.all_passed else "PROPERTY FAILURES detected")
-        return "\n".join(lines)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -186,13 +160,15 @@ class _Quadratic:
     """
 
     def __init__(self, rng: np.random.Generator, m: int, holomorphic=False, antiholomorphic=False):
-        z = np.zeros((m, m), dtype=complex)
+        def draw(n, zero):
+            return np.zeros(n, dtype=complex) if zero else _rand_cvec(rng, n)
+
         self.c0 = _rand_cvec(rng, 1)[0]
-        self.a = _rand_cvec(rng, m) if not antiholomorphic else np.zeros(m, dtype=complex)
-        self.b = _rand_cvec(rng, m) if not holomorphic else np.zeros(m, dtype=complex)
-        self.A = _rand_cvec(rng, m * m).reshape(m, m) if not antiholomorphic else z
-        self.B = _rand_cvec(rng, m * m).reshape(m, m) if not holomorphic else z
-        self.C = z if (holomorphic or antiholomorphic) else _rand_cvec(rng, m * m).reshape(m, m)
+        self.a = draw(m, antiholomorphic)
+        self.b = draw(m, holomorphic)
+        self.A = draw(m * m, antiholomorphic).reshape(m, m)
+        self.B = draw(m * m, holomorphic).reshape(m, m)
+        self.C = draw(m * m, holomorphic or antiholomorphic).reshape(m, m)
 
     def __call__(self, w: np.ndarray) -> complex:
         wc = np.conj(w)
@@ -229,20 +205,24 @@ def property_suite(rng_seed: int = 0, trials: int = 100, tol: float = 1e-6, max_
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
     rng = np.random.default_rng(rng_seed)
-    report = SuiteReport(seed=rng_seed, trials=trials, tol=tol)
+    report = SuiteReport(trials=trials, tol=tol)
 
     checks = [
-        (1, "holomorphic field: conjugate derivative vanishes", _prop_holomorphic),
-        (2, "anti-holomorphic field: plain derivative vanishes", _prop_antiholomorphic),
-        (3, "conjugation rule (d_z T)* = d_z* T*", _prop_conj_rule_z),
-        (4, "conjugation rule (d_z* T)* = d_z T*", _prop_conj_rule_zstar),
+        (1, "holomorphic field: conjugate derivative vanishes", partial(_prop_vanishing, holomorphic=True)),
+        (2, "anti-holomorphic field: plain derivative vanishes", partial(_prop_vanishing, holomorphic=False)),
+        (3, "conjugation rule (d_z T)* = d_z* T*", partial(_prop_conj_rule, of="d_z")),
+        (4, "conjugation rule (d_z* T)* = d_z T*", partial(_prop_conj_rule, of="d_zstar")),
         (5, "real-valued field: (d_z T)* = d_z* T", _prop_real_pair),
         (6, "first-order Taylor expansion remainder is o(|h|)", _prop_taylor),
-        (7, "T = <f, w>: d_z = w*, d_z* = 0", _prop_inner_fw),
-        (8, "T = <w, f>: d_z = 0, d_z* = w", _prop_inner_wf),
-        (9, "T = <f*, w>: d_z = 0, d_z* = w*", _prop_inner_fsw),
-        (10, "T = <w, f*>: d_z = w, d_z* = 0", _prop_inner_wfs),
+        (7, "T = <f, w>: d_z = w*, d_z* = 0", partial(_prop_inner, form=_INNER_FORMS[0])),
+        (8, "T = <w, f>: d_z = 0, d_z* = w", partial(_prop_inner, form=_INNER_FORMS[1])),
+        (9, "T = <f*, w>: d_z = 0, d_z* = w*", partial(_prop_inner, form=_INNER_FORMS[2])),
+        (10, "T = <w, f*>: d_z = w, d_z* = 0", partial(_prop_inner, form=_INNER_FORMS[3])),
         (11, "product rule on holomorphic factors", _prop_product_rule),
     ]
     for number, name, fn in checks:
@@ -255,42 +235,23 @@ def property_suite(rng_seed: int = 0, trials: int = 100, tol: float = 1e-6, max_
             if err > worst:
                 worst = err
                 witness = w
-        report.results.append(
-            PropertyResult(
-                number=number,
-                name=name,
-                trials=trials,
-                max_error=worst,
-                tol=tol,
-                passed=worst < tol,
-                witness=witness if worst >= tol else None,
-            )
-        )
+        passed = worst < tol
+        report.results.append(PropertyResult(number, name, trials, worst, passed, None if passed else witness))
     return report
 
 
-def _prop_holomorphic(rng, m, w):
-    t = _Quadratic(rng, m, holomorphic=True)
+def _prop_vanishing(rng, m, w, holomorphic):
+    t = _Quadratic(rng, m, holomorphic=holomorphic, antiholomorphic=not holomorphic)
     num = numeric_wirtinger(t, w, _SUITE_STEP)
-    return _norm_err(num.d_zstar, np.zeros(m, dtype=complex))
+    return _norm_err(num.d_zstar if holomorphic else num.d_z, np.zeros(m, dtype=complex))
 
 
-def _prop_antiholomorphic(rng, m, w):
-    t = _Quadratic(rng, m, antiholomorphic=True)
-    num = numeric_wirtinger(t, w, _SUITE_STEP)
-    return _norm_err(num.d_z, np.zeros(m, dtype=complex))
-
-
-def _prop_conj_rule_z(rng, m, w):
+def _prop_conj_rule(rng, m, w, of):
+    # (d T)* = d' T*, where d is the derivative named by `of` and d' the other one
     t = _Quadratic(rng, m)
     num_tc = numeric_wirtinger(lambda v: np.conj(t(v)), w, _SUITE_STEP)
-    return _norm_err(num_tc.d_zstar, np.conj(t.d_z(w)))
-
-
-def _prop_conj_rule_zstar(rng, m, w):
-    t = _Quadratic(rng, m)
-    num_tc = numeric_wirtinger(lambda v: np.conj(t(v)), w, _SUITE_STEP)
-    return _norm_err(num_tc.d_z, np.conj(t.d_zstar(w)))
+    other = "d_zstar" if of == "d_z" else "d_z"
+    return _norm_err(getattr(num_tc, other), np.conj(getattr(t, of)(w)))
 
 
 def _prop_real_pair(rng, m, w):
@@ -325,32 +286,22 @@ def _prop_taylor(rng, m, w):
     return ratios[-1]
 
 
-def _prop_inner_fw(rng, m, w):
+#: The four inner-product fields T(f) of a fixed v, each with its closed
+#: form (d_z T, d_z* T), in the order of properties 7-10.
+_INNER_FORMS = [
+    (lambda f, v: _inner(f, v), lambda v: (np.conj(v), np.zeros_like(v))),
+    (lambda f, v: _inner(v, f), lambda v: (np.zeros_like(v), v)),
+    (lambda f, v: _inner(np.conj(f), v), lambda v: (np.zeros_like(v), np.conj(v))),
+    (lambda f, v: _inner(v, np.conj(f)), lambda v: (v, np.zeros_like(v))),
+]
+
+
+def _prop_inner(rng, m, w, form):
+    t, closed = form
     v = _rand_cvec(rng, m, scale=1.0)
-    t = lambda f: _inner(f, v)
-    num = numeric_wirtinger(t, w, _SUITE_STEP)
-    return max(_norm_err(num.d_z, np.conj(v)), _norm_err(num.d_zstar, np.zeros(m, dtype=complex)))
-
-
-def _prop_inner_wf(rng, m, w):
-    v = _rand_cvec(rng, m, scale=1.0)
-    t = lambda f: _inner(v, f)
-    num = numeric_wirtinger(t, w, _SUITE_STEP)
-    return max(_norm_err(num.d_z, np.zeros(m, dtype=complex)), _norm_err(num.d_zstar, v))
-
-
-def _prop_inner_fsw(rng, m, w):
-    v = _rand_cvec(rng, m, scale=1.0)
-    t = lambda f: _inner(np.conj(f), v)
-    num = numeric_wirtinger(t, w, _SUITE_STEP)
-    return max(_norm_err(num.d_z, np.zeros(m, dtype=complex)), _norm_err(num.d_zstar, np.conj(v)))
-
-
-def _prop_inner_wfs(rng, m, w):
-    v = _rand_cvec(rng, m, scale=1.0)
-    t = lambda f: _inner(v, np.conj(f))
-    num = numeric_wirtinger(t, w, _SUITE_STEP)
-    return max(_norm_err(num.d_z, v), _norm_err(num.d_zstar, np.zeros(m, dtype=complex)))
+    num = numeric_wirtinger(lambda f: t(f, v), w, _SUITE_STEP)
+    d_z, d_zstar = closed(v)
+    return max(_norm_err(num.d_z, d_z), _norm_err(num.d_zstar, d_zstar))
 
 
 def _prop_product_rule(rng, m, w):

@@ -207,6 +207,16 @@ class TestExperiment:
         with pytest.raises(ValueError, match="unknown"):
             run_experiment(["rls"], ChannelConfig(), n_samples=50, runs=1)
 
+    def test_misspelled_mu_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown.*'nclm'"):
+            run_experiment(["nclms"], ChannelConfig(), n_samples=50, runs=1, mu={"nclm": 5.0})
+
+    def test_mu_for_an_algorithm_not_run_is_accepted(self):
+        # the CLI passes a step for all three algorithms whichever it runs
+        mu = {"cklms": 0.25, "nclms": 0.0, "wl-nclms": 0.125}
+        curves = run_experiment(["nclms"], ChannelConfig(), n_samples=50, runs=1, mu=mu)
+        assert list(curves) == ["nclms"]
+
     def test_repeated_algorithm_rejected(self):
         # a repeated name used to add its squared errors into one curve twice
         with pytest.raises(ValueError, match="repeated"):

@@ -350,6 +350,17 @@ def test_run_empty_stream():
     assert result.errors.size == 0 and f.dictionary_size == 0
 
 
+def test_step_rejects_empty_input_state_unchanged():
+    f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
+    with pytest.raises(ValueError, match="nonempty"):
+        f.step([], 1.0)
+    assert f.dictionary_size == 0
+    f.step([1 + 1j], 1.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        f.step(np.empty(0, dtype=complex), 1.0)
+    assert f.dictionary_size == 1 and f.centers.shape == (1, 1)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [

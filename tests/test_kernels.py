@@ -59,6 +59,17 @@ def test_embed_rejects_nonfinite():
         embed([1 + 1j, np.nan + 0j])
 
 
+@pytest.mark.parametrize("z", [[], np.empty((3, 0), dtype=complex)], ids=["vector", "block"])
+def test_embed_rejects_empty_vectors(z):
+    with pytest.raises(ValueError, match="nonempty"):
+        embed(z)
+
+
+def test_kernel_eval_rejects_empty_vectors():
+    with pytest.raises(ValueError, match="nonempty"):
+        kernel_eval(RealKernel.gaussian(1.0), [], [])
+
+
 def test_gaussian_self_similarity_exact():
     k = RealKernel.gaussian(3.7)
     rng = np.random.default_rng(1)
@@ -136,6 +147,19 @@ def test_invalid_kernel_parameters():
         RealKernel.polynomial(0)
     with pytest.raises(ValueError):
         RealKernel("triangle")
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, 0, -1, None, "2"])
+def test_polynomial_degree_must_be_integer_at_least_one(degree):
+    with pytest.raises(ValueError, match="integer degree >= 1"):
+        RealKernel("polynomial", degree=degree)
+    with pytest.raises(ValueError, match="integer degree >= 1"):
+        RealKernel.polynomial(degree)
+
+
+def test_polynomial_degree_accepts_numpy_integer():
+    k = RealKernel.polynomial(np.int64(3))
+    assert kernel_eval(k, [1 + 0j], [1 + 0j]) == 8.0
 
 
 def test_complexified_inner_self():

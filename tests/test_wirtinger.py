@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import ckaf.wirtinger
+from ckaf.cklms import instantaneous_cost_check
 from ckaf.wirtinger import (
     WirtingerPair,
     check_gradient,
@@ -78,7 +80,6 @@ def test_check_gradient_detects_wrong_derivative():
     report = check_gradient(f, ana, np.array([1 + 1j]), tol=1e-6)
     assert not report.passed
     assert report.error == pytest.approx(1.0, abs=1e-3)
-    assert report.errors_d_zstar[0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_nonfinite_probe_reports_coordinate():
@@ -98,7 +99,7 @@ def test_invalid_step_rejected():
 
 def test_property_suite_all_pass():
     report = property_suite(rng_seed=0)
-    assert report.all_passed, str(report)
+    assert report.all_passed, [str(r) for r in report.results if not r.passed]
     assert len(report.results) == 11
     assert [r.number for r in report.results] == list(range(1, 12))
 
@@ -107,6 +108,41 @@ def test_property_suite_all_pass():
 def test_property_suite_rejects_no_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         property_suite(trials=trials)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-6}, "tol must be positive"),
+        ({"tol": float("nan")}, "tol must be positive"),
+        ({"max_dim": 0}, "max_dim must be >= 1"),
+    ],
+    ids=["tol-zero", "tol-negative", "tol-nan", "max_dim-zero"],
+)
+def test_property_suite_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        property_suite(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "flip, failing",
+    [("d_z", {4, 5, 6, 7, 10}), ("d_zstar", {3, 5, 6, 8, 9})],
+)
+def test_each_property_compares_the_derivative_it_names(monkeypatch, flip, failing):
+    """A sign error in one numeric derivative fails exactly the properties that read it."""
+    true_numeric = ckaf.wirtinger.numeric_wirtinger
+
+    def flipped(f, w, h=1e-5):
+        pair = true_numeric(f, w, h)
+        if flip == "d_z":
+            return WirtingerPair(d_z=-pair.d_z, d_zstar=pair.d_zstar)
+        return WirtingerPair(d_z=pair.d_z, d_zstar=-pair.d_zstar)
+
+    monkeypatch.setattr(ckaf.wirtinger, "numeric_wirtinger", flipped)
+    report = property_suite(rng_seed=0, trials=20)
+    assert {r.number for r in report.results if not r.passed} == failing
+    assert not all(r.passed for r in instantaneous_cost_check(rng_seed=0))
 
 
 def test_property_suite_deterministic():
