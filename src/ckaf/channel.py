@@ -12,7 +12,10 @@ the instantaneous squared error per iteration.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -22,7 +25,11 @@ from .cklms import CklmsFilter, NoveltyCriterion
 from .kernels import RealKernel
 from .linear import ComplexNlms
 
-_BANK = 10  # runs drawn and held at once: each linear filter steps them together, and memory stays bounded
+# runs drawn and held at once, so memory stays bounded: a linear filter steps them together, and
+# their CKLMS runs spread over the usable cores
+_BANK = 10
+# in a pool worker, the (dataset, kernel, mu, novelty) of the bank whose CKLMS streams it runs
+_JOB = None
 
 ALGORITHMS = ("cklms", "nclms", "wl-nclms")
 
@@ -140,19 +147,64 @@ def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
     return EqualizationDataset(inputs=windows[..., D : D + n_total, :], targets=s[..., :n_total], L=L, D=D)
 
 
+def _cklms_run(job, j: int):
+    """Errors and admission mask of a CKLMS filter on stream j of a (dataset, kernel, mu, novelty) job."""
+    dataset, kernel, mu, novelty = job
+    result = CklmsFilter(kernel, mu, True, novelty).run(dataset.inputs[j], dataset.targets[j])
+    return result.errors, result.admitted
+
+
+def _adopt(job) -> None:
+    """Pool initializer: keep the inherited job, and leave Ctrl-C to the parent, which ends its workers."""
+    import signal
+
+    global _JOB
+    _JOB = job
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_run(j: int):
+    return _cklms_run(_JOB, j)
+
+
+def _fork_pool(streams: int, job):
+    """A pool of processes forked with the job, one per usable core and at most one per stream, or
+    None where the streams run in this process: one worker would do, `fork` is missing, or this
+    process is a daemonic worker, which may not fork."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    workers = min(cores, streams)
+    if workers < 2 or not hasattr(os, "fork"):
+        return None
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return None
+    # a forked worker takes its initializer's arguments from memory, so the job is not pickled
+    return multiprocessing.get_context("fork").Pool(workers, _adopt, (job,))
+
+
 def _squared_errors(name: str, dataset: EqualizationDataset, mu: float, kernel: RealKernel, novelty):
     """Yield the squared errors and dictionary sizes of one filter on each stream of a stack, in
-    order: a linear filter steps all the streams at once, a kernel filter takes one at a time."""
+    order. A linear filter steps all the streams at once. The CKLMS streams share nothing, so the
+    workers of a pool (`_fork_pool`) run whole streams at once, bit for bit as one process would."""
+    pool = None
     if name == "cklms":
-        results = (CklmsFilter(kernel, mu, True, novelty).run(x, d) for x, d in zip(dataset.inputs, dataset.targets))
-        streams = ((result.errors, np.cumsum(result.admitted, dtype=float)) for result in results)
+        job, n = (dataset, kernel, mu, novelty), dataset.targets.shape[0]
+        pool = _fork_pool(n, job)
+        runs = pool.imap(_worker_run, range(n)) if pool else map(functools.partial(_cklms_run, job), range(n))
+        streams = ((e, np.cumsum(admitted, dtype=float)) for e, admitted in runs)
     else:
         errors = ComplexNlms(dataset.L + 1, mu, widely_linear=name == "wl-nclms").run(dataset.inputs, dataset.targets)
         streams = ((e, np.zeros(e.size)) for e in errors)
-    for e, sizes in streams:
-        with np.errstate(over="ignore"):
-            err_sq = e.real * e.real + e.imag * e.imag
-        yield err_sq, sizes
+    # leaving a pool terminates it: a divergence or a worker's error ends the streams still running
+    with pool or contextlib.nullcontext():
+        for e, sizes in streams:
+            with np.errstate(over="ignore"):
+                err_sq = e.real * e.real + e.imag * e.imag
+            yield err_sq, sizes
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -189,6 +241,11 @@ def run_experiment(
     are recorded before the update at each step, and the squared-error
     curves (and kernel dictionary sizes) are averaged pointwise across
     runs. `smooth` >= 1 is the window of a trailing moving average.
+
+    The CKLMS runs of a bank go to forked worker processes, one per
+    usable core (`os.sched_getaffinity`), and the curves are the same
+    bytes for any core count; `taskset -c 0` keeps the runs in this
+    process.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")

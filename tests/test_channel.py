@@ -2,7 +2,11 @@
 dataset construction, and the Monte-Carlo harness."""
 
 import math
+import multiprocessing
+import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -343,6 +347,89 @@ def test_divergence_past_the_first_bank_names_the_run_of_the_per_run_loop():
     message = f"nclms diverged: non-finite error at step {step} of run {run}"
     with pytest.raises(RuntimeError, match=f"^{message}$"):
         run_experiment(["nclms"], cfg, n_samples=2700, runs=13, mu={"nclms": 2.5}, seed=3)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the CKLMS streams fan out only where fork exists")
+
+
+@needs_fork
+def test_pooled_cklms_streams_equal_the_one_core_path(usable_cores):
+    algorithms = ("cklms", "nclms", "wl-nclms")
+    curves, pools = {}, {}
+    for cores in (2, 1):
+        built = usable_cores(cores)
+        curves[cores] = run_experiment(algorithms, ChannelConfig(), n_samples=300, runs=13, seed=6)
+        pools[cores] = list(built)
+    # one pool for the bank of 10 runs and one for the bank of 3; none with one usable core
+    assert pools == {2: [2, 2], 1: []}
+    for name in algorithms:
+        assert np.array_equal(curves[2][name].mse, curves[1][name].mse)
+        assert np.array_equal(curves[2][name].dict_size, curves[1][name].dict_size)
+
+
+@needs_fork
+def test_without_an_affinity_call_the_cpu_count_bounds_the_workers(usable_cores, monkeypatch):
+    built = usable_cores(1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpu_count, pools in ((3, [2]), (None, [])):  # never more workers than the bank's 2 streams
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        run_experiment(["cklms"], ChannelConfig(), n_samples=40, runs=2)
+        assert built == pools
+        built.clear()
+
+
+@needs_fork
+def test_a_daemonic_worker_runs_its_streams_itself(usable_cores):
+    # a daemonic process may not fork, so run_experiment inside another pool's worker takes the one-core path
+    usable_cores(2)
+    kwargs = dict(n_samples=40, runs=2, seed=5)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        curves = pool.apply_async(run_experiment, (["cklms"], ChannelConfig()), kwargs).get(timeout=120)
+    expected = run_experiment(["cklms"], ChannelConfig(), **kwargs)
+    assert np.array_equal(curves["cklms"].mse, expected["cklms"].mse)
+
+
+def test_experiments_in_concurrent_threads_keep_their_own_streams(usable_cores):
+    usable_cores(1)  # forking a process that runs several threads is unsafe; the streams run in each thread
+    seeds = (1, 2)
+    expected = {seed: run_experiment(["cklms"], ChannelConfig(), n_samples=200, runs=3, seed=seed) for seed in seeds}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [
+                (seed, pool.submit(run_experiment, ["cklms"], ChannelConfig(), n_samples=200, runs=3, seed=seed))
+                for seed in seeds * 3
+            ]
+            results = [(seed, future.result(timeout=120)) for seed, future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, curves in results:
+        assert np.array_equal(curves["cklms"].mse, expected[seed]["cklms"].mse)
+
+
+@needs_fork
+def test_cklms_divergence_in_a_pooled_bank_names_the_run_of_the_per_run_loop(usable_cores):
+    # at mu = 10 every run blows up near step 300; at this length runs 2 and 3 do, run 3 at an earlier step
+    cfg = ChannelConfig()
+    for run, run_seed in enumerate(np.random.SeedSequence(1).spawn(4)):
+        source_seed, noise_seed = run_seed.spawn(2)
+        s = generate_source(290, cfg.rho, cfg.amplitude, seed=source_seed)
+        ds = build_dataset(run_channel(cfg, s, seed=noise_seed), s, L=5, D=2)
+        f = CklmsFilter(RealKernel.gaussian(5.0), mu=10.0, novelty=NoveltyCriterion(0.15, 0.2))
+        errors = (f.step(x, d).error for x, d in zip(ds.inputs, ds.targets))
+        step = next((i for i, e in enumerate(errors) if not math.isfinite(e.real * e.real + e.imag * e.imag)), None)
+        if step is not None:
+            break
+    else:
+        pytest.fail("no run diverged")
+    assert run > 0
+    message = f"cklms diverged: non-finite error at step {step} of run {run}"
+    for cores in (2, 1):
+        built = usable_cores(cores)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            run_experiment(["cklms"], cfg, n_samples=290, runs=4, mu={"cklms": 10.0}, seed=1)
+        assert len(built) == (cores > 1)
 
 
 def test_experiment_memory_does_not_grow_with_runs():

@@ -34,9 +34,7 @@ class ComplexFormReference:
     def predict(self, z):
         if not self.centers:
             return 0j
-        return 2.0 * sum(
-            se * kernel_eval(self.kernel, z, c) for c, se in zip(self.centers, self.scaled_errors)
-        )
+        return 2.0 * complex(np.dot(self.scaled_errors, kernel_eval_many(self.kernel, z, self.centers)))
 
     def step(self, z, d):
         pred = self.predict(z)

@@ -227,6 +227,19 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the CKLMS streams fan out only where fork exists")
+    def test_value_rejected_in_a_pool_worker_exits_2(self, usable_cores, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["equalize", "--algorithm", "cklms", "--runs", "2", "--samples", "30", "--snr-db=-3080"]
+        errors = {}
+        for cores in (2, 1):
+            built = usable_cores(cores)
+            assert cli.main([*argv, "--output", str(out)]) == 2
+            assert built == ([2] if cores > 1 else [])
+            errors[cores] = capsys.readouterr().err
+        assert errors[2] == errors[1] == "ckaf equalize: error: non-finite input sample; run rejected\n"
+        assert not out.exists()
+
     def test_zero_mu_valid_for_linear_filters(self, tmp_path):
         for algorithm in ("nclms", "wl-nclms"):
             out = tmp_path / f"{algorithm}.csv"
