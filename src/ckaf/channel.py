@@ -26,10 +26,8 @@ from .kernels import RealKernel
 from .linear import ComplexNlms
 
 # runs drawn and held at once, so memory stays bounded: a linear filter steps them together, and
-# their CKLMS runs spread over the usable cores
+# the pool's workers take their CKLMS runs, one run per task
 _BANK = 10
-# in a pool worker, the (dataset, kernel, mu, novelty) of the bank whose CKLMS streams it runs
-_JOB = None
 
 ALGORITHMS = ("cklms", "nclms", "wl-nclms")
 
@@ -54,6 +52,8 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         # +inf turns the noise off; any other SNR needs a finite noise power
         try:
             noise_gain = 10.0 ** (-self.snr_db / 10.0)
@@ -100,6 +100,8 @@ def generate_source(n_samples: int, rho: float, amplitude: float = 0.70, seed=No
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples)
     y = rng.standard_normal(n_samples)
@@ -112,18 +114,22 @@ def run_channel(cfg: ChannelConfig, s, seed=None) -> np.ndarray:
     Noise is circular complex Gaussian with total variance set so that
     10*log10(mean|q|^2 / var) equals cfg.snr_db, half the power in each
     of the real and imaginary parts. The step before the stream starts
-    uses s(-1) = 0.
+    uses s(-1) = 0. A source that is not finite, or a channel output or
+    noise power that overflows, raises ValueError.
     """
     s = np.asarray(s, dtype=complex)
-    if s.size == 0:
-        raise ValueError("source sequence is empty")
+    if s.size == 0 or not np.isfinite(s).all():
+        raise ValueError("source sequence is empty or not finite")
     s_prev = np.concatenate([[0j], s[:-1]])
-    t = cfg.h0 * s + cfg.h1 * s_prev
-    q = t + cfg.c2 * t**2 + cfg.c3 * t**3
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = cfg.h0 * s + cfg.h1 * s_prev
+        q = t + cfg.c2 * t**2 + cfg.c3 * t**3
+        noise_var = 0.0 if math.isinf(cfg.snr_db) else float(np.mean(np.abs(q) ** 2)) * 10.0 ** (-cfg.snr_db / 10.0)
+    if not (np.isfinite(q).all() and math.isfinite(noise_var)):
+        raise ValueError("channel output or noise power overflows; lower the source amplitude or raise snr_db")
     if math.isinf(cfg.snr_db):
         return q
     rng = np.random.default_rng(seed)
-    noise_var = float(np.mean(np.abs(q) ** 2)) * 10.0 ** (-cfg.snr_db / 10.0)
     scale = math.sqrt(noise_var / 2.0)
     w = scale * (rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size))
     return q + w
@@ -147,30 +153,24 @@ def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
     return EqualizationDataset(inputs=windows[..., D : D + n_total, :], targets=s[..., :n_total], L=L, D=D)
 
 
-def _cklms_run(job, j: int):
-    """Errors and admission mask of a CKLMS filter on stream j of a (dataset, kernel, mu, novelty) job."""
-    dataset, kernel, mu, novelty = job
-    result = CklmsFilter(kernel, mu, True, novelty).run(dataset.inputs[j], dataset.targets[j])
+def _draw(cfg: ChannelConfig, n_samples: int, L: int, D: int, seed_pairs) -> EqualizationDataset:
+    """The stacked datasets of the runs whose (source, noise) seeds are seed_pairs."""
+    s = np.array([generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source) for source, _ in seed_pairs])
+    return build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, seed_pairs)], s, L, D)
+
+
+def _cklms_run(cfg, n_samples, L, D, mu, kernel, novelty, seed_pair):
+    """Errors and admission mask of a CKLMS filter on the run it draws from its (source, noise) seeds:
+    a task of picklable arguments, which needs nothing from the process that sent it."""
+    dataset = _draw(cfg, n_samples, L, D, [seed_pair])
+    result = CklmsFilter(kernel, mu, True, novelty).run(dataset.inputs[0], dataset.targets[0])
     return result.errors, result.admitted
 
 
-def _adopt(job) -> None:
-    """Pool initializer: keep the inherited job, and leave Ctrl-C to the parent, which ends its workers."""
-    import signal
-
-    global _JOB
-    _JOB = job
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _worker_run(j: int):
-    return _cklms_run(_JOB, j)
-
-
-def _fork_pool(streams: int, job):
-    """A pool of processes forked with the job, one per usable core and at most one per stream, or
-    None where the streams run in this process: one worker would do, `fork` is missing, or this
-    process is a daemonic worker, which may not fork."""
+def _pool(streams: int):
+    """A pool of forked processes, one per usable core and at most one per stream, or None where the
+    streams run in this process: one worker would do, `fork` is missing, or this process is a
+    daemonic worker, which may not fork. A worker leaves Ctrl-C to the parent, which ends it."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -179,32 +179,11 @@ def _fork_pool(streams: int, job):
     if workers < 2 or not hasattr(os, "fork"):
         return None
     import multiprocessing
+    import signal
 
     if multiprocessing.current_process().daemon:
         return None
-    # a forked worker takes its initializer's arguments from memory, so the job is not pickled
-    return multiprocessing.get_context("fork").Pool(workers, _adopt, (job,))
-
-
-def _squared_errors(name: str, dataset: EqualizationDataset, mu: float, kernel: RealKernel, novelty):
-    """Yield the squared errors and dictionary sizes of one filter on each stream of a stack, in
-    order. A linear filter steps all the streams at once. The CKLMS streams share nothing, so the
-    workers of a pool (`_fork_pool`) run whole streams at once, bit for bit as one process would."""
-    pool = None
-    if name == "cklms":
-        job, n = (dataset, kernel, mu, novelty), dataset.targets.shape[0]
-        pool = _fork_pool(n, job)
-        runs = pool.imap(_worker_run, range(n)) if pool else map(functools.partial(_cklms_run, job), range(n))
-        streams = ((e, np.cumsum(admitted, dtype=float)) for e, admitted in runs)
-    else:
-        errors = ComplexNlms(dataset.L + 1, mu, widely_linear=name == "wl-nclms").run(dataset.inputs, dataset.targets)
-        streams = ((e, np.zeros(e.size)) for e in errors)
-    # leaving a pool terminates it: a divergence or a worker's error ends the streams still running
-    with pool or contextlib.nullcontext():
-        for e, sizes in streams:
-            with np.errstate(over="ignore"):
-                err_sq = e.real * e.real + e.imag * e.imag
-            yield err_sq, sizes
+    return multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -242,10 +221,13 @@ def run_experiment(
     curves (and kernel dictionary sizes) are averaged pointwise across
     runs. `smooth` >= 1 is the window of a trailing moving average.
 
-    The CKLMS runs of a bank go to forked worker processes, one per
-    usable core (`os.sched_getaffinity`), and the curves are the same
-    bytes for any core count; `taskset -c 0` keeps the runs in this
-    process.
+    Runs are drawn in banks of at most 10. A linear filter steps a
+    bank's runs together. Each CKLMS run is a task that draws its own
+    stream from its seed pair, so it needs nothing but its picklable
+    arguments. One pool of forked workers, one per usable core
+    (`os.sched_getaffinity`), takes the tasks bank by bank, and the
+    curves are the same bytes for any core count; `taskset -c 0` keeps
+    the runs in this process.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -262,27 +244,39 @@ def run_experiment(
             f" expected distinct names among {ALGORITHMS}"
         )
 
-    run_seeds = np.random.SeedSequence(seed).spawn(runs)
+    # spawned once, up front: spawning again from a run's seed would give other children
+    seed_pairs = [run_seed.spawn(2) for run_seed in np.random.SeedSequence(seed).spawn(runs)]
+    cklms = functools.partial(_cklms_run, cfg, n_samples, L, D, steps["cklms"], kernel, novelty)
+    pool = _pool(min(runs, _BANK)) if "cklms" in algorithms else None
     sum_err = dict.fromkeys(algorithms, 0.0)
     sum_size = dict.fromkeys(algorithms, 0.0)
-    for first in range(0, runs, _BANK):
-        seeds = [run_seed.spawn(2) for run_seed in run_seeds[first : first + _BANK]]
-        s = np.array([generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source) for source, _ in seeds])
-        dataset = build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, seeds)], s, L, D)
-        failures = []
-        for order, name in enumerate(algorithms):
-            for j, (err_sq, sizes) in enumerate(_squared_errors(name, dataset, steps[name], kernel, novelty)):
-                finite = np.isfinite(err_sq)
-                if not finite.all():
-                    failures.append((first + j, order, name, finite.argmin()))
-                    break
-                sum_err[name] += err_sq
-                sum_size[name] += sizes
-        # the lowest run fails first, and within it the first algorithm, as when runs go one by one
-        if failures:
-            run, _, name, step = min(failures)
-            raise RuntimeError(f"{name} diverged: non-finite error at step {step} of run {run}")
-        del s, dataset  # free this bank before the next one is drawn
+    # leaving the pool terminates it: a divergence or a worker's error ends the runs still going
+    with pool or contextlib.nullcontext():
+        for first in range(0, runs, _BANK):
+            pairs = seed_pairs[first : first + _BANK]
+            dataset = _draw(cfg, n_samples, L, D, pairs) if set(algorithms) - {"cklms"} else None
+            failures = []
+            for order, name in enumerate(algorithms):
+                if name == "cklms":
+                    streams = ((e, np.cumsum(a, dtype=float)) for e, a in (pool.imap if pool else map)(cklms, pairs))
+                else:
+                    linear = ComplexNlms(L + 1, steps[name], widely_linear=name == "wl-nclms")
+                    streams = ((e, np.zeros(e.size)) for e in linear.run(dataset.inputs, dataset.targets))
+                for j, (e, sizes) in enumerate(streams):
+                    # rebinding e to its square drops the row view that would keep a bank of linear errors alive
+                    with np.errstate(over="ignore"):
+                        e = e.real * e.real + e.imag * e.imag
+                    finite = np.isfinite(e)
+                    if not finite.all():
+                        failures.append((first + j, order, name, finite.argmin()))
+                        break
+                    sum_err[name] += e
+                    sum_size[name] += sizes
+            # the lowest run fails first, and within it the first algorithm, as when runs go one by one
+            if failures:
+                run, _, name, step = min(failures)
+                raise RuntimeError(f"{name} diverged: non-finite error at step {step} of run {run}")
+            del dataset  # free this bank before the next one is drawn
 
     curves = {}
     for name in algorithms:

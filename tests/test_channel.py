@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -64,6 +65,13 @@ class TestSource:
         with pytest.raises(ValueError):
             generate_source(0, rho=0.5)
 
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            generate_source(10, rho=0.5, amplitude=amplitude)
+        with pytest.raises(ValueError, match="amplitude"):
+            ChannelConfig(amplitude=amplitude)
+
 
 class TestChannel:
     def test_linear_tap_on_unit_impulse(self):
@@ -87,6 +95,27 @@ class TestChannel:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             run_channel(ChannelConfig(), [])
+
+    @pytest.mark.parametrize(
+        ("snr_db", "s"),
+        [
+            (15.0, [1e200 + 0j, 1.0]),  # t**2 overflows
+            (15.0, [complex(math.nan), 1.0]),
+            (15.0, [complex(math.inf), 1.0]),
+            (15.0, [1e60 + 0j, 1.0]),  # q is finite, |q|^2 is not
+            (-3080.0, [2.0, 2.0]),  # the noise power overflows
+        ],
+        ids=["output-overflow", "nan", "inf", "power-overflow", "noise-overflow"],
+    )
+    def test_non_finite_source_output_or_noise_power_rejected_without_a_warning(self, snr_db, s):
+        # the first three returned [nan+nanj, nan+nanj] with RuntimeWarnings only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite|overflows"):
+                run_channel(ChannelConfig(snr_db=snr_db), s, seed=0)
+
+    def test_noiseless_channel_takes_an_output_too_large_to_square(self):
+        assert np.isfinite(run_channel(ChannelConfig(snr_db=math.inf), [1e60 + 0j, 1.0])).all()
 
     def test_snr_calibration(self):
         cfg = ChannelConfig(snr_db=15.0)
@@ -360,11 +389,29 @@ def test_pooled_cklms_streams_equal_the_one_core_path(usable_cores):
         built = usable_cores(cores)
         curves[cores] = run_experiment(algorithms, ChannelConfig(), n_samples=300, runs=13, seed=6)
         pools[cores] = list(built)
-    # one pool for the bank of 10 runs and one for the bank of 3; none with one usable core
-    assert pools == {2: [2, 2], 1: []}
+    # one pool serves the bank of 10 runs and the bank of 3; none with one usable core
+    assert pools == {2: [2], 1: []}
     for name in algorithms:
         assert np.array_equal(curves[2][name].mse, curves[1][name].mse)
         assert np.array_equal(curves[2][name].dict_size, curves[1][name].dict_size)
+    # a linear-only experiment builds no pool, so its runs stay in this process
+    built = usable_cores(2)
+    run_experiment(("nclms", "wl-nclms"), ChannelConfig(), n_samples=300, runs=13, seed=6)
+    assert built == []
+
+
+@needs_fork
+def test_cklms_tasks_need_nothing_inherited_at_the_fork(usable_cores, monkeypatch):
+    # a spawned worker starts a fresh interpreter, so a task that read state copied at a fork would fail or differ
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: get_context("spawn"))
+    curves = {}
+    for cores in (2, 1):
+        built = usable_cores(cores)
+        curves[cores] = run_experiment(["cklms"], ChannelConfig(), n_samples=200, runs=2, seed=4)["cklms"]
+        assert built == ([2] if cores > 1 else [])
+    assert np.array_equal(curves[2].mse, curves[1].mse)
+    assert np.array_equal(curves[2].dict_size, curves[1].dict_size)
 
 
 @needs_fork
