@@ -18,19 +18,14 @@ from .channel import (
     run_channel,
     run_experiment,
 )
-from .cklms import CklmsFilter, NoveltyCriterion, RunResult, StepResult, instantaneous_cost_check
-from .kernels import (
-    RealKernel,
-    embed,
-    kernel_eval,
-    kernel_eval_many,
-    polynomial_feature_map,
-)
+from .cklms import CklmsFilter, NoveltyCriterion, RunResult, StepResult
+from .kernels import RealKernel, embed, kernel_eval, kernel_eval_many
 from .linear import ComplexNlms
 from .wirtinger import (
     GradientCheckReport,
     WirtingerPair,
     check_gradient,
+    instantaneous_cost_check,
     numeric_wirtinger,
     property_suite,
 )
@@ -55,7 +50,6 @@ __all__ = [
     "kernel_eval",
     "kernel_eval_many",
     "numeric_wirtinger",
-    "polynomial_feature_map",
     "property_suite",
     "run_channel",
     "run_experiment",

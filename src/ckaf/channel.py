@@ -65,7 +65,7 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class EqualizationDataset:
-    """Receiver windows paired with delayed source symbols.
+    """Receiver windows paired with delayed source symbols, as build_dataset(r, s, L, D) makes them.
 
     inputs[n] = (r(n+D), r(n+D-1), ..., r(n+D-L)); targets[n] = s(n).
     Pre-stream receiver values are zero. A stack of R streams adds a leading axis.
@@ -73,8 +73,6 @@ class EqualizationDataset:
 
     inputs: np.ndarray  # (N, L+1) or (R, N, L+1) complex
     targets: np.ndarray  # (N,) or (R, N) complex
-    L: int
-    D: int
 
     def __len__(self):
         return self.targets.shape[-1]
@@ -150,7 +148,7 @@ def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
     # window n, r[n+D] down to r[n+D-L], is a forward slice of r reversed in time and followed by L zeros
     reversed_r = np.concatenate([r[..., ::-1], np.zeros(r.shape[:-1] + (L,), dtype=complex)], axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(reversed_r, L + 1, axis=-1)[..., ::-1, :]
-    return EqualizationDataset(inputs=windows[..., D : D + n_total, :], targets=s[..., :n_total], L=L, D=D)
+    return EqualizationDataset(inputs=windows[..., D : D + n_total, :], targets=s[..., :n_total])
 
 
 def _draw(cfg: ChannelConfig, n_samples: int, L: int, D: int, seed_pairs) -> EqualizationDataset:

@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import GAUSSIAN, RealKernel, embed, kernel_row, lift, polynomial_feature_map, row_sq_norms, self_kernel
-from .wirtinger import GradientCheckReport, WirtingerPair, check_gradient
+from .kernels import GAUSSIAN, RealKernel, embed, kernel_row, lift, row_sq_norms, self_kernel
+from .wirtinger import instantaneous_cost_check  # re-exported: bench/workloads.py and criterion 3 import it here
 
 
 @dataclass(frozen=True)
@@ -232,43 +232,3 @@ class CklmsFilter:
         self._cols[2:, n] = u
         self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
         self._n = n + 1
-
-
-def instantaneous_cost_check(
-    n_trials: int = 50,
-    tol: float = 1e-5,
-    rng_seed: int = 0,
-    degree: int = 2,
-) -> list[GradientCheckReport]:
-    """Check the analytic cost gradient in an explicit-feature surrogate.
-
-    The polynomial kernel of the given degree admits an explicit
-    monomial feature map phi; complexifying it as Phi(z) = (1+i) phi(z)
-    makes the kernel filter's instantaneous cost |d - <Phi(z), w>|^2 an
-    ordinary field on C^M, where its analytic conjugate gradient
-    -e* Phi(z) (and its conjugate, since the cost is real) can be
-    compared against finite differences.
-    """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    rng = np.random.default_rng(rng_seed)
-    reports = []
-    for _ in range(n_trials):
-        nu = int(rng.integers(1, 3))
-        z = 0.7 * (rng.standard_normal(nu) + 1j * rng.standard_normal(nu))
-        d = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        phi = polynomial_feature_map(embed(z), degree)
-        big_phi = (1.0 + 1.0j) * phi
-        w0 = 0.5 * (rng.standard_normal(big_phi.size) + 1j * rng.standard_normal(big_phi.size))
-
-        def cost(w, big_phi=big_phi, d=d):
-            e = d - np.sum(big_phi * np.conj(w))
-            return abs(e) ** 2
-
-        def analytic(w, big_phi=big_phi, d=d):
-            e = d - np.sum(big_phi * np.conj(w))
-            d_zstar = -np.conj(e) * big_phi
-            return WirtingerPair(d_z=np.conj(d_zstar), d_zstar=d_zstar)
-
-        reports.append(check_gradient(cost, analytic, w0, tol=tol))
-    return reports

@@ -12,29 +12,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import channel
-from .cklms import NoveltyCriterion, instantaneous_cost_check
+from .cklms import NoveltyCriterion
 from .kernels import RealKernel
-from .wirtinger import property_suite
+from .wirtinger import instantaneous_cost_check, property_suite
 
 CSV_HEADER = "n,algorithm,mse,mse_db,dict_size"
-
-_CONFIG_FIELDS = (
-    "algorithm",
-    "samples",
-    "runs",
-    "rho",
-    "snr_db",
-    "kernel",
-    "sigma",
-    "degree",
-    "filter_length",
-    "delay",
-    "novelty_d1",
-    "novelty_d2",
-    "seed",
-    "smooth",
-    "output",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,15 +28,15 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--samples", type=int, default=5000)
     eq.add_argument("--runs", type=int, default=20)
     eq.add_argument("--rho", type=float, default=channel.DEFAULT_RHO)
-    eq.add_argument("--snr-db", type=float, default=15.0)
+    eq.add_argument("--snr-db", type=float, default=channel.ChannelConfig.snr_db)
     eq.add_argument("--mu", type=float, default=None, help="step size for the selected algorithm")
     eq.add_argument("--kernel", choices=("gaussian", "polynomial"), default="gaussian")
     eq.add_argument("--sigma", type=float, default=channel.DEFAULT_SIGMA)
     eq.add_argument("--degree", type=int, default=2)
     eq.add_argument("--filter-length", type=int, default=5)
     eq.add_argument("--delay", type=int, default=2)
-    eq.add_argument("--novelty-d1", type=float, default=0.15)
-    eq.add_argument("--novelty-d2", type=float, default=0.2)
+    eq.add_argument("--novelty-d1", type=float, default=channel.DEFAULT_NOVELTY.delta1)
+    eq.add_argument("--novelty-d2", type=float, default=channel.DEFAULT_NOVELTY.delta2)
     eq.add_argument("--seed", type=int, default=0)
     eq.add_argument("--smooth", type=int, default=1)
     eq.add_argument("--output", default="curves.csv")
@@ -86,7 +68,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
 
 def _config_comment(args: argparse.Namespace, mu_map: dict) -> str:
-    parts = [f"{name}={getattr(args, name)}" for name in _CONFIG_FIELDS]
+    # the equalize flags in parser order, the order a bare parse sets them in; --mu is echoed per algorithm
+    flags = [name for name in vars(build_parser().parse_args(["equalize"])) if name not in ("subcommand", "mu")]
+    parts = [f"{name}={getattr(args, name)}" for name in flags]
     parts += [f"mu_{algo.replace('-', '_')}={mu_map[algo]!r}" for algo in channel.ALGORITHMS]
     return "# " + " ".join(parts)
 

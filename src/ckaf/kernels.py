@@ -146,27 +146,3 @@ def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.nd
 def kernel_eval(k: RealKernel, z1, z2) -> float:
     """kappa(z1, z2): kernel_eval_many with the one center z2."""
     return float(kernel_eval_many(k, z1, [z2])[0])
-
-
-def polynomial_feature_map(u, degree: int) -> np.ndarray:
-    """Explicit monomial feature map phi of the polynomial kernel.
-
-    For real u, phi(u).phi(v) = (1 + u.v)^degree. Supported for
-    degree 1 and 2; used to build finite-dimensional surrogates where
-    the implicit RKHS geometry can be checked coordinate by coordinate.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if degree == 1:
-        return np.concatenate([[1.0], u])
-    if degree == 2:
-        p = u.size
-        iu, ju = np.triu_indices(p, k=1)
-        return np.concatenate(
-            [
-                [1.0],
-                np.sqrt(2.0) * u,
-                u * u,
-                np.sqrt(2.0) * u[iu] * u[ju],
-            ]
-        )
-    raise ValueError(f"explicit feature map only implemented for degree 1 or 2, got {degree}")

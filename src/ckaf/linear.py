@@ -38,9 +38,9 @@ class ComplexNlms:
     """
 
     def __init__(self, n_taps: int, mu: float, eps: float = 1e-8, widely_linear: bool = False):
-        n_taps = int(n_taps)
-        if n_taps < 1:
-            raise ValueError(f"n_taps must be >= 1, got {n_taps}")
+        # an integer type, so that 2.5 taps are not truncated to 2 nor the string "3" parsed
+        if not (isinstance(n_taps, (int, np.integer)) and n_taps >= 1):
+            raise ValueError(f"n_taps must be an integer >= 1, got {n_taps!r}")
         # the negated comparison also rejects NaN
         if not 0 <= mu < math.inf:
             raise ValueError(f"mu must be nonnegative and finite, got {mu}")

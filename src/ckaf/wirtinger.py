@@ -10,16 +10,20 @@ equivalently dT/dz = (T_x - i T_y)/2 and dT/dz* = (T_x + i T_y)/2.
 Both are estimated by central finite differences, one probe per real
 coordinate. The conjugate derivative is the steepest-ascent direction
 of real-valued costs, so this module doubles as a gradient checker for
-the analytic updates used by the adaptive filters.
+the analytic updates used by the adaptive filters, among them the
+CKLMS gradient -e* Phi(z) (instantaneous_cost_check).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+
+from .kernels import embed
 
 ScalarField = Callable[[np.ndarray], complex]
 
@@ -65,7 +69,7 @@ def _central(f: ScalarField, w: np.ndarray, j: int, h: float, imaginary: bool) -
     wm = w.copy()
     wm[j] -= delta
     fm = complex(f(wm))
-    if not (np.isfinite(fp.real) and np.isfinite(fp.imag) and np.isfinite(fm.real) and np.isfinite(fm.imag)):
+    if not (cmath.isfinite(fp) and cmath.isfinite(fm)):
         part = "imaginary" if imaginary else "real"
         raise ValueError(f"non-finite field value probing the {part} part of coordinate {j}")
     return (fp - fm) / (2.0 * h)
@@ -312,3 +316,49 @@ def _prop_product_rule(rng, m, w):
     num_s = numeric_wirtinger(s, w, _SUITE_STEP)
     expected = num_r.d_z * s(w) + num_s.d_z * r(w)
     return _norm_err(num_rs.d_z, expected)
+
+
+# The CKLMS gradient, checked in an explicit-feature surrogate with the suite's draws and inner product
+def _polynomial_features(u: np.ndarray, degree: int) -> np.ndarray:
+    """Explicit monomial feature map phi of the polynomial kernel, degree 1 or 2:
+    phi(u).phi(v) = (1 + u.v)^degree for real u and v."""
+    if degree == 1:
+        return np.concatenate([[1.0], u])
+    if degree == 2:
+        iu, ju = np.triu_indices(u.size, k=1)
+        return np.concatenate([[1.0], np.sqrt(2.0) * u, u * u, np.sqrt(2.0) * u[iu] * u[ju]])
+    raise ValueError(f"explicit feature map only implemented for degree 1 or 2, got {degree}")
+
+
+def instantaneous_cost_check(
+    n_trials: int = 50, tol: float = 1e-5, rng_seed: int = 0, degree: int = 2
+) -> list[GradientCheckReport]:
+    """Check the CKLMS cost gradient in an explicit-feature surrogate.
+
+    The polynomial kernel of the given degree admits an explicit
+    monomial feature map phi; complexifying it as Phi(z) = (1+i) phi(z)
+    makes the kernel filter's instantaneous cost |d - <Phi(z), w>|^2 an
+    ordinary field on C^M, where its analytic conjugate gradient
+    -e* Phi(z) (and its conjugate, since the cost is real) can be
+    compared against finite differences.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    rng = np.random.default_rng(rng_seed)
+    reports = []
+    for _ in range(n_trials):
+        nu = int(rng.integers(1, 3))
+        z = _rand_cvec(rng, nu, scale=0.7)
+        d = _rand_cvec(rng, 1, scale=1.0)[0]
+        big_phi = (1.0 + 1.0j) * _polynomial_features(embed(z), degree)
+        w0 = _rand_cvec(rng, big_phi.size)
+
+        def cost(w, big_phi=big_phi, d=d):
+            return abs(d - _inner(big_phi, w)) ** 2
+
+        def analytic(w, big_phi=big_phi, d=d):
+            d_zstar = -np.conj(d - _inner(big_phi, w)) * big_phi
+            return WirtingerPair(d_z=np.conj(d_zstar), d_zstar=d_zstar)
+
+        reports.append(check_gradient(cost, analytic, w0, tol=tol))
+    return reports

@@ -1,5 +1,6 @@
 """CLI contract tests: argument parsing, CSV emission, exit codes."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import ckaf
 import ckaf.wirtinger
 from ckaf import cli
-from ckaf.channel import ChannelConfig, run_experiment
+from ckaf.channel import DEFAULT_MU, DEFAULT_NOVELTY, DEFAULT_SIGMA, ChannelConfig, run_experiment
 from ckaf.wirtinger import WirtingerPair
 
 
@@ -33,6 +34,28 @@ class TestParseArgs:
         assert args.novelty_d2 == 0.2
         assert args.seed == 0
         assert args.smooth == 1
+        # each default is the library's own, so the CLI and a bare run_experiment run the same experiment
+        cfg = ChannelConfig()
+        signature = inspect.signature(run_experiment).parameters
+        library = {
+            "rho": cfg.rho,
+            "snr_db": cfg.snr_db,
+            "sigma": DEFAULT_SIGMA,
+            "novelty_d1": DEFAULT_NOVELTY.delta1,
+            "novelty_d2": DEFAULT_NOVELTY.delta2,
+            "samples": signature["n_samples"].default,
+            "runs": signature["runs"].default,
+            "filter_length": signature["L"].default,
+            "delay": signature["D"].default,
+            "seed": signature["seed"].default,
+            "smooth": signature["smooth"].default,
+        }
+        assert {name: getattr(args, name) for name in library} == library
+        # the CSV comment echoes every flag but --mu once, in parser order, then mu per algorithm
+        subcommands = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        flags = [a.dest for a in subcommands.choices["equalize"]._actions if a.dest not in ("help", "mu")]
+        keys = [part.split("=")[0] for part in cli._config_comment(args, DEFAULT_MU).split()[1:]]
+        assert keys == [*flags, "mu_cklms", "mu_nclms", "mu_wl_nclms"]
 
     def test_noncircular_flag(self):
         args = cli.parse_args(["equalize", "--rho", "0.1"])

@@ -10,7 +10,6 @@ from ckaf.kernels import (
     kernel_eval_many,
     kernel_row,
     lift,
-    polynomial_feature_map,
     row_sq_norms,
 )
 
@@ -249,22 +248,6 @@ def test_kernel_eval_many_rejects_nonfinite_like_kernel_eval():
             kernel_eval(k, z, cs[-1])
         with pytest.raises(ValueError, match="non-finite"):
             kernel_eval_many(k, z, cs)
-
-
-@pytest.mark.parametrize("degree", [1, 2])
-def test_polynomial_feature_map_reproduces_kernel(degree):
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        p = int(rng.integers(1, 5))
-        u = rng.standard_normal(p)
-        v = rng.standard_normal(p)
-        lhs = polynomial_feature_map(u, degree) @ polynomial_feature_map(v, degree)
-        assert lhs == pytest.approx((1.0 + u @ v) ** degree, rel=1e-12)
-
-
-def test_polynomial_feature_map_unsupported_degree():
-    with pytest.raises(ValueError):
-        polynomial_feature_map([1.0], 3)
 
 
 def _direct_rows(k, z, centers):

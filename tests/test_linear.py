@@ -80,6 +80,16 @@ class TestUpdate:
         with pytest.raises(ValueError):
             ComplexNlms(2, mu=0.1, eps=-1e-9)
 
+    @pytest.mark.parametrize("n_taps", [2.5, 3.0, "3", 0, np.int64(0)], ids=repr)
+    def test_tap_count_must_be_a_positive_integer(self, n_taps):
+        with pytest.raises(ValueError, match="n_taps must be an integer >= 1"):
+            ComplexNlms(n_taps, mu=0.1)
+
+    def test_numpy_integer_tap_count_accepted(self):
+        f = ComplexNlms(np.int64(3), mu=0.1)
+        assert f.n_taps == 3
+        assert f.update([1j, 0j, 1.0], 1.0)[1] == 1.0
+
     @pytest.mark.parametrize("params", [{"mu": np.nan}, {"mu": 0.1, "eps": np.nan}], ids=["mu", "eps"])
     def test_nan_parameters_rejected(self, params):
         # a NaN mu or eps used to be accepted and then wrote NaN weights

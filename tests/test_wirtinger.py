@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import ckaf.cklms
 import ckaf.wirtinger
-from ckaf.cklms import instantaneous_cost_check
 from ckaf.wirtinger import (
     WirtingerPair,
+    _polynomial_features,
     check_gradient,
+    instantaneous_cost_check,
     numeric_wirtinger,
     property_suite,
 )
@@ -171,3 +173,36 @@ def test_steepest_ascent_direction():
         u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         u /= np.linalg.norm(u)
         assert increase(u) <= aligned + 1e-3
+
+
+def test_instantaneous_cost_gradient_surrogate():
+    """Analytic -e* Phi(z) against finite differences in the explicit
+    polynomial-feature surrogate."""
+    reports = instantaneous_cost_check(n_trials=10, tol=1e-5, rng_seed=0)
+    assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("n_trials", [0, -5])
+def test_instantaneous_cost_check_rejects_no_trials(n_trials):
+    with pytest.raises(ValueError, match="n_trials"):
+        instantaneous_cost_check(n_trials=n_trials)
+
+
+def test_cost_check_is_reexported_by_cklms():
+    assert ckaf.cklms.instantaneous_cost_check is ckaf.wirtinger.instantaneous_cost_check
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_polynomial_feature_map_reproduces_kernel(degree):
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        p = int(rng.integers(1, 5))
+        u = rng.standard_normal(p)
+        v = rng.standard_normal(p)
+        lhs = _polynomial_features(u, degree) @ _polynomial_features(v, degree)
+        assert lhs == pytest.approx((1.0 + u @ v) ** degree, rel=1e-12)
+
+
+def test_polynomial_feature_map_unsupported_degree():
+    with pytest.raises(ValueError):
+        _polynomial_features([1.0], 3)
