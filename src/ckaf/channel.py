@@ -94,8 +94,8 @@ class LearningCurve:
 
 def generate_source(n_samples: int, rho: float, amplitude: float = 0.70, seed=None) -> np.ndarray:
     """Complex Gaussian source amplitude*(sqrt(1-rho^2) X + i rho Y)."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     if not math.isfinite(amplitude):
@@ -136,8 +136,8 @@ def run_channel(cfg: ChannelConfig, s, seed=None) -> np.ndarray:
 def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
     """Build tapped-delay equalization pairs from received and source signals, or from (R, n) stacks of them:
     inputs is a read-only view of unit-stride windows, targets a view of s (a complex s is not copied)."""
-    if L < 0 or D < 0:
-        raise ValueError(f"L and D must be nonnegative, got L={L}, D={D}")
+    if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (L, D)):
+        raise ValueError(f"L and D must be nonnegative integers, got L={L!r}, D={D!r}")
     r = np.asarray(r, dtype=complex)
     s = np.asarray(s, dtype=complex)
     if r.shape[:-1] != s.shape[:-1]:
@@ -227,10 +227,10 @@ def run_experiment(
     curves are the same bytes for any core count; `taskset -c 0` keeps
     the runs in this process.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if smooth < 1:
-        raise ValueError(f"smooth must be >= 1, got {smooth}")
+    if not (isinstance(runs, (int, np.integer)) and runs >= 1):
+        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
+    if not (isinstance(smooth, (int, np.integer)) and smooth >= 1):
+        raise ValueError(f"smooth must be an integer >= 1, got {smooth!r}")
     steps = dict(DEFAULT_MU)
     steps.update(mu or {})
     kernel = kernel if kernel is not None else RealKernel.gaussian(DEFAULT_SIGMA)

@@ -24,8 +24,37 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import GAUSSIAN, RealKernel, embed, kernel_row, lift, row_sq_norms, self_kernel
+from .kernels import GAUSSIAN, RealKernel, embed, row_sq_norms
 from .wirtinger import instantaneous_cost_check  # re-exported: bench/workloads.py and criterion 3 import it here
+
+
+def _lift(k: RealKernel, u: np.ndarray, u_sq) -> np.ndarray:
+    """Lift an embedded u with squared norm u_sq, or an (N, 2*nu) block of them, to queries q.
+
+    A center c is stored as the column col = (||c||^2, 1, c). With s = 1/sigma^2 the
+    Gaussian q = (-s, -s ||u||^2, 2s u) gives q @ col = -||u - c||^2 / sigma^2, and the
+    polynomial q = (0, 1, u) gives q @ col = 1 + u.c.
+    """
+    q = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
+    if k.kind == GAUSSIAN:
+        s = 1.0 / (k.sigma * k.sigma)
+        q[..., 0] = -s
+        q[..., 1] = -s * u_sq
+        np.multiply(u, 2.0 * s, out=q[..., 2:])
+    else:
+        q[..., :2] = 0.0, 1.0
+        q[..., 2:] = u
+    return q
+
+
+def _self_kernel(k: RealKernel, sq_norm):
+    """kappa(c, c) from the squared norm of the embedded c; inf past the float range."""
+    if k.kind == GAUSSIAN:
+        return 1.0
+    try:
+        return (1.0 + sq_norm) ** k.degree
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -127,52 +156,61 @@ class CklmsFilter:
             raise ValueError(f"expected a 1-D complex vector, got shape {np.shape(z)}")
         self._check_width(u.size)
         u_sq = float(np.vdot(u, u))  # overflows to inf without a warning
-        if not math.isfinite(u_sq) or not math.isfinite(self_kernel(self.kernel, u_sq)):
+        if not math.isfinite(u_sq) or not math.isfinite(_self_kernel(self.kernel, u_sq)):
             raise ValueError("non-finite input sample; step rejected")
-        return u, u_sq, lift(self.kernel, u, u_sq)
+        return u, u_sq, _lift(self.kernel, u, u_sq)
 
-    def _row(self, q: np.ndarray) -> np.ndarray:
-        """The one kernel row kappa(z, z_k) over the centers, from the lifted query q of z."""
+    def _predict(self, q: np.ndarray) -> tuple[np.ndarray, complex]:
+        """The kernel row kappa(z, z_k) over the centers, from one GEMV with the lifted query q of z,
+        and the prediction 2 * sum_k alpha_k kappa(z, z_k); an empty dictionary predicts 0."""
         n = self._n
         if n == 0:
-            return np.empty(0)
-        return kernel_row(self.kernel, self._cols[:, :n], q)
-
-    def _output(self, k: np.ndarray) -> complex:
-        y_re, y_im = (self._alpha[:, : self._n] @ k).tolist()
-        return complex(2.0 * y_re, 2.0 * y_im)
-
-    def _novel(self, u_sq: float, k: np.ndarray, e: complex) -> bool:
-        if self.novelty is None:
-            return True
-        # the error gate is one comparison, so it goes first; `not >=` rejects a NaN error
-        if not abs(e) >= self.novelty.delta2:
-            return False
-        if self._n == 0:
-            return True
+            return np.empty(0), 0j
+        k = q @ self._cols[:, :n]
         if self.kernel.kind == GAUSSIAN:
-            # kappa(z, z) = kappa(z_k, z_k) = 1, so ||Phi(z) - Phi(z_k)||^2 = 4 (1 - kappa(z, z_k))
-            dist_sq = 4.0 * (1.0 - float(k.max()))
+            np.minimum(k, 0.0, out=k)  # the norm expansion can round the exponent above 0
+            np.exp(k, out=k)
         else:
-            # ||Phi(z) - Phi(z_k)||^2 = 2 (kappa(z,z) - 2 kappa(z,z_k) + kappa(z_k,z_k))
-            kcc = self_kernel(self.kernel, self._cols[0, : self._n])
-            dist_sq = 2.0 * (self_kernel(self.kernel, u_sq) + float(np.min(kcc - 2.0 * k)))
-        return not math.sqrt(max(dist_sq, 0.0)) < self.novelty.delta1
+            np.power(k, self.kernel.degree, out=k)
+        y_re, y_im = (self._alpha[:, :n] @ k).tolist()
+        return k, complex(2.0 * y_re, 2.0 * y_im)
 
     def _step(self, u: np.ndarray, u_sq: float, q: np.ndarray, d: complex) -> StepResult:
-        """The recursion on one validated sample: predict, measure the error, maybe grow."""
-        k = self._row(q)
-        prediction = self._output(k)
+        """The recursion on one validated sample: predict, measure the error, maybe admit z."""
+        k, prediction = self._predict(q)
         e = d - prediction
-        admitted = self._novel(u_sq, k, e)
+        n, novelty = self._n, self.novelty
+        # the error gate is one comparison, so it goes first; a NaN error fails it
+        admitted = novelty is None or abs(e) >= novelty.delta2
+        if admitted and novelty is not None and n > 0:
+            if self.kernel.kind == GAUSSIAN:
+                # kappa(z, z) = kappa(z_k, z_k) = 1, so ||Phi(z) - Phi(z_k)||^2 = 4 (1 - kappa(z, z_k))
+                dist_sq = 4.0 * (1.0 - float(k.max()))
+            else:
+                # ||Phi(z) - Phi(z_k)||^2 = 2 (kappa(z,z) - 2 kappa(z,z_k) + kappa(z_k,z_k))
+                kcc = _self_kernel(self.kernel, self._cols[0, :n])
+                dist_sq = 2.0 * (_self_kernel(self.kernel, u_sq) + float(np.min(kcc - 2.0 * k)))
+            admitted = not math.sqrt(max(dist_sq, 0.0)) < novelty.delta1
         if admitted:
-            gamma = 2.0 * self_kernel(self.kernel, u_sq) if self.normalized else 1.0
-            self._append(u, u_sq, self.mu / gamma * e)
+            gamma = 2.0 * _self_kernel(self.kernel, u_sq) if self.normalized else 1.0
+            alpha = self.mu / gamma * e
+            if self._dim is None:
+                self._dim = u.size // 2
+                self._cols = np.ones((u.size + 2, 16))
+                self._alpha = np.empty((2, 16))
+            elif n == self._cols.shape[1]:
+                self._cols = np.concatenate([self._cols, np.ones_like(self._cols)], axis=1)
+                self._alpha = np.concatenate([self._alpha, np.empty_like(self._alpha)], axis=1)
+            # row 1 of the store is all ones from its allocation
+            self._cols[0, n] = u_sq
+            self._cols[2:, n] = u
+            self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
+            self._n = n + 1
         return StepResult(prediction, e, admitted)
 
     def predict(self, z) -> complex:
         """Filter output at z; an empty dictionary predicts 0."""
-        return self._output(self._row(self._sample(z)[2]))
+        return self._predict(self._sample(z)[2])[1]
 
     def step(self, z, d: complex) -> StepResult:
         """Process one sample: predict, measure the error, maybe grow."""
@@ -203,9 +241,9 @@ class CklmsFilter:
         sq_norms = row_sq_norms(rows)
         # kappa(z, z) grows with ||z||^2, so the largest norm decides whether every one is finite
         largest = float(sq_norms.max(initial=0.0))
-        if not np.isfinite(sq_norms).all() or not math.isfinite(self_kernel(self.kernel, largest)):
+        if not np.isfinite(sq_norms).all() or not math.isfinite(_self_kernel(self.kernel, largest)):
             raise ValueError("non-finite input sample; run rejected")
-        queries = lift(self.kernel, rows, sq_norms)
+        queries = _lift(self.kernel, rows, sq_norms)
         n = targets.size
         predictions = np.empty(n, dtype=complex)
         errors = np.empty(n, dtype=complex)
@@ -217,18 +255,3 @@ class CklmsFilter:
                 n = i + 1
                 break
         return RunResult(predictions[:n], errors[:n], admitted[:n])
-
-    def _append(self, u: np.ndarray, u_sq: float, alpha: complex) -> None:
-        n = self._n
-        if self._dim is None:
-            self._dim = u.size // 2
-            self._cols = np.ones((u.size + 2, 16))
-            self._alpha = np.empty((2, 16))
-        elif n == self._cols.shape[1]:
-            self._cols = np.concatenate([self._cols, np.ones_like(self._cols)], axis=1)
-            self._alpha = np.concatenate([self._alpha, np.empty_like(self._alpha)], axis=1)
-        # row 1 of the store is all ones from its allocation
-        self._cols[0, n] = u_sq
-        self._cols[2:, n] = u
-        self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
-        self._n = n + 1

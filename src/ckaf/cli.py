@@ -78,9 +78,9 @@ def _config_comment(args: argparse.Namespace, mu_map: dict) -> str:
 def emit_csv(curves: dict, comment: str, path) -> None:
     """Write learning curves: header line, config comment, then one row
     per (iteration, algorithm) with the algorithms interleaved per n."""
-    if not curves:
-        raise ValueError("no curves to write")
-    names = [a for a in channel.ALGORITHMS if a in curves] or sorted(curves)
+    names = [a for a in channel.ALGORITHMS if a in curves]
+    if not names or len(names) != len(curves):
+        raise ValueError(f"expected curves named among {channel.ALGORITHMS}, got {sorted(curves)}")
     length = len(curves[names[0]].mse)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")

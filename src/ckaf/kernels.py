@@ -37,7 +37,7 @@ class RealKernel:
     def __post_init__(self):
         if self.kind == GAUSSIAN:
             sigma = np.nan if self.sigma is None else float(self.sigma)
-            # a lifted query holds 2/sigma^2, so sigma^2 and 2/sigma^2 must be finite and nonzero
+            # the CKLMS lifted query holds 2/sigma^2, so sigma^2 and 2/sigma^2 must be finite and nonzero
             if not (sigma > 0 and 0 < sigma * sigma < np.inf and np.isfinite(2.0 / (sigma * sigma))):
                 raise ValueError(f"gaussian kernel requires finite sigma^2 > 0 and 1/sigma^2, got {self.sigma}")
         elif self.kind == POLYNOMIAL:
@@ -80,49 +80,6 @@ def row_sq_norms(rows: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return np.ascontiguousarray(np.vecdot(rows, rows).real)  # real, not a view of complex products
-
-
-def lift(k: RealKernel, u: np.ndarray, u_sq) -> np.ndarray:
-    """Lift an embedded u with squared norm u_sq, or an (N, 2*nu) block of them, to queries q.
-
-    A center c is stored as the column col = (||c||^2, 1, c). With s = 1/sigma^2 the
-    Gaussian q = (-s, -s ||u||^2, 2s u) gives q @ col = -||u - c||^2 / sigma^2, and the
-    polynomial q = (0, 1, u) gives q @ col = 1 + u.c.
-    """
-    q = np.empty(u.shape[:-1] + (u.shape[-1] + 2,))
-    if k.kind == GAUSSIAN:
-        s = 1.0 / (k.sigma * k.sigma)
-        q[..., 0] = -s
-        q[..., 1] = -s * u_sq
-        np.multiply(u, 2.0 * s, out=q[..., 2:])
-    else:
-        q[..., :2] = 0.0, 1.0
-        q[..., 2:] = u
-    return q
-
-
-def kernel_row(k: RealKernel, cols: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """kappa(u, c) for every center column (||c||^2, 1, c) of `cols`, from one GEMV.
-
-    q is the lifted query of u. The Gaussian exponent is clamped at 0,
-    because the norm expansion can round above it. This is the hot path
-    of the kernel filters.
-    """
-    g = q @ cols
-    if k.kind == GAUSSIAN:
-        np.minimum(g, 0.0, out=g)
-        return np.exp(g, out=g)
-    return np.power(g, k.degree, out=g)
-
-
-def self_kernel(k: RealKernel, sq_norm):
-    """kappa(c, c) from the squared norm of the embedded c; inf past the float range."""
-    if k.kind == GAUSSIAN:
-        return 1.0
-    try:
-        return (1.0 + sq_norm) ** k.degree
-    except OverflowError:
-        return np.inf
 
 
 def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ import numpy as np
 
 from .kernels import row_sq_norms
 
+_EPS = 1e-8  # regularizes the power normalization against a vanishing input power
+
 
 class ComplexNlms:
     """Normalized complex LMS, optionally widely linear.
@@ -29,26 +31,20 @@ class ComplexNlms:
         Weight vector length (filter length L + 1).
     mu:
         Normalized step size.
-    eps:
-        Regularizer guarding the power normalization against
-        vanishing input power.
     widely_linear:
         When True, a conjugate branch g is maintained and the output
         is h^H x + g^H x*.
     """
 
-    def __init__(self, n_taps: int, mu: float, eps: float = 1e-8, widely_linear: bool = False):
+    def __init__(self, n_taps: int, mu: float, *, widely_linear: bool = False):
         # an integer type, so that 2.5 taps are not truncated to 2 nor the string "3" parsed
         if not (isinstance(n_taps, (int, np.integer)) and n_taps >= 1):
             raise ValueError(f"n_taps must be an integer >= 1, got {n_taps!r}")
         # the negated comparison also rejects NaN
         if not 0 <= mu < math.inf:
             raise ValueError(f"mu must be nonnegative and finite, got {mu}")
-        if not eps >= 0:
-            raise ValueError(f"eps must be nonnegative, got {eps}")
         self.n_taps = n_taps
         self.mu = float(mu)
-        self.eps = float(eps)
         self.widely_linear = bool(widely_linear)
         # [h] or [h, g], the weights of x and x*
         self._w = np.zeros(2 * n_taps if widely_linear else n_taps, dtype=complex)
@@ -83,7 +79,7 @@ class ComplexNlms:
         return y
 
     def _step(self, w: np.ndarray, x: np.ndarray, gain, d) -> tuple[np.ndarray, np.ndarray]:
-        """The normalized-LMS step of R filters on R input rows, with gains mu / (power + eps)."""
+        """The normalized-LMS step of R filters on R input rows, with gains mu / (power + _EPS)."""
         y = self._output(w, x)
         e = d - y
         c = (gain * e.conj())[:, np.newaxis]
@@ -102,9 +98,7 @@ class ComplexNlms:
         d = complex(d)
         if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; update rejected")
-        if not power + self.eps > 0:
-            raise ValueError("zero input power with eps = 0; update rejected")
-        y, e = self._step(self._w[np.newaxis], x[np.newaxis], self.mu / (power + self.eps), d)
+        y, e = self._step(self._w[np.newaxis], x[np.newaxis], self.mu / (power + _EPS), d)
         return complex(y[0]), complex(e[0])
 
     def run(self, inputs, targets) -> np.ndarray:
@@ -125,8 +119,6 @@ class ComplexNlms:
         powers = row_sq_norms(x)
         if not np.isfinite(powers).all():
             raise ValueError("non-finite input sample; run rejected")
-        if not (powers + self.eps > 0).all():
-            raise ValueError("zero input power with eps = 0; run rejected")
         targets = np.asarray(targets, dtype=complex)
         if targets.shape != x.shape[:-1]:
             raise ValueError(f"{x.shape[-2]} inputs but targets of shape {targets.shape}")
@@ -137,7 +129,7 @@ class ComplexNlms:
         # a stack steps copies of the weights; one stream steps the filter's own in place
         w = np.repeat(self._w[np.newaxis], len(x), axis=0) if stacked else self._w[np.newaxis]
         np.multiply(powers, 2.0 if self.widely_linear else 1.0, out=powers)  # in place, as a stack's gains are large
-        gains = np.divide(self.mu, np.add(powers, self.eps, out=powers), out=powers)
+        gains = np.divide(self.mu, np.add(powers, _EPS, out=powers), out=powers)
         errors = np.empty(targets.shape[::-1], dtype=complex)
         with np.errstate(all="ignore"):  # a diverged stream keeps stepping beside the others
             for i, (x_i, gain, d) in enumerate(zip(x.swapaxes(0, 1), gains.T, targets.T)):

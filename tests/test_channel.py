@@ -260,6 +260,16 @@ class TestExperiment:
         with pytest.raises(ValueError, match="smooth"):
             run_experiment(["nclms"], ChannelConfig(), n_samples=50, runs=1, smooth=smooth)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"smooth": 2.5}, {"runs": 2.5}, {"runs": "3"}, {"n_samples": 40.0}, {"D": 1.5}, {"L": 2.0}],
+        ids=repr,
+    )
+    def test_non_integer_counts_rejected(self, kwargs):
+        # each used to crash inside numpy with an IndexError or a TypeError
+        with pytest.raises(ValueError, match="integer"):
+            run_experiment(["nclms"], ChannelConfig(), **{"n_samples": 50, "runs": 1, **kwargs})
+
     def test_smoothing_preserves_length_and_mean(self):
         cfg = ChannelConfig()
         raw = run_experiment(["nclms"], cfg, n_samples=200, runs=1, seed=3, smooth=1)

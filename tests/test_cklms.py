@@ -400,6 +400,48 @@ def test_run_stores_admitted_inputs_bit_for_bit():
     assert np.array_equal(f.centers, zs[result.admitted])
 
 
+def _direct_rows(k, z, centers):
+    """kappa(z, c) per center from the direct difference (Gaussian) or the
+    direct dot product of the embeddings (polynomial)."""
+    if k.kind == "gaussian":
+        diff = centers - z
+        return np.exp(-np.sum(diff.real**2 + diff.imag**2, axis=1) / k.sigma**2)
+    return (1.0 + centers.real @ z.real + centers.imag @ z.imag) ** k.degree
+
+
+def _expansion_row(k, z, centers):
+    """kappa(z, c) per center from the filter's own row over its stored columns (||c||^2, 1, c).
+
+    Zero targets give every center a zero weight, so the filter admits them all and stays finite."""
+    f = CklmsFilter(k, mu=1.0)
+    f.run(centers, np.zeros(len(centers)))
+    return f._predict(f._sample(z)[2])[0]
+
+
+def test_norm_expansion_matches_direct_difference():
+    rng = np.random.default_rng(12)
+    for k in (RealKernel.gaussian(5.0), RealKernel.gaussian(0.7), RealKernel.polynomial(2)):
+        for m in (1, 3, 17, 500):
+            z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            centers = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
+            np.testing.assert_allclose(_expansion_row(k, z, centers), _direct_rows(k, z, centers), rtol=1e-13, atol=1e-13)
+
+
+def test_norm_expansion_repeated_center_clamped():
+    # ||c||^2 + ||z||^2 - 2 c.z can round below 0 at c == z; the clamp keeps
+    # kappa <= 1, and the squared distance stays within rounding of 0
+    k = RealKernel.gaussian(0.05)
+    rng = np.random.default_rng(13)
+    for m in (2, 5, 64):
+        for _ in range(50):
+            centers = 3.0 * (rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6)))
+            i = int(rng.integers(m))
+            row = _expansion_row(k, centers[i], centers)
+            assert row[i] <= 1.0
+            dist_sq = -k.sigma**2 * np.log(row[i])
+            assert dist_sq <= 16 * np.finfo(float).eps * np.sum(np.abs(centers[i]) ** 2)
+
+
 def test_stored_center_queried_again_kernel_at_most_one():
     # a one-center filter with alpha = 1 predicts 2 kappa(c, c); the norm
     # expansion of the exponent can round above 0 at z == c, and the clamp

@@ -125,6 +125,15 @@ class TestEmitCsv:
             else:
                 assert float(dict_size) >= 1.0
 
+    def test_curve_outside_the_algorithms_rejected(self, tmp_path):
+        # a name outside ALGORITHMS used to be dropped whenever another curve's name was in it
+        c = _tiny_curves(["nclms"], n_samples=5)["nclms"]
+        path = tmp_path / "out.csv"
+        for curves in ({"nclms": c, "foo": c}, {"foo": c}, {}):
+            with pytest.raises(ValueError, match="expected curves named among"):
+                cli.emit_csv(curves, "# c", path)
+        assert not path.exists()
+
     def test_roundtrip_at_printed_precision(self, tmp_path):
         curves = _tiny_curves(["nclms"], n_samples=40)
         path = tmp_path / "out.csv"

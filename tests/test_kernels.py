@@ -8,9 +8,6 @@ from ckaf.kernels import (
     embed,
     kernel_eval,
     kernel_eval_many,
-    kernel_row,
-    lift,
-    row_sq_norms,
 )
 
 
@@ -248,46 +245,6 @@ def test_kernel_eval_many_rejects_nonfinite_like_kernel_eval():
             kernel_eval(k, z, cs[-1])
         with pytest.raises(ValueError, match="non-finite"):
             kernel_eval_many(k, z, cs)
-
-
-def _direct_rows(k, z, centers):
-    """kappa(z, c) per center from the direct difference (Gaussian) or the
-    direct dot product of the embeddings (polynomial)."""
-    if k.kind == "gaussian":
-        diff = centers - z
-        return np.exp(-np.sum(diff.real**2 + diff.imag**2, axis=1) / k.sigma**2)
-    return (1.0 + centers.real @ z.real + centers.imag @ z.imag) ** k.degree
-
-
-def _expansion_row(k, z, centers):
-    """kappa(z, c) per center from kernel_row over columns (||c||^2, 1, c), as CklmsFilter stores them."""
-    u, rows = embed(z), embed(centers)
-    cols = np.vstack([row_sq_norms(rows), np.ones(len(rows)), rows.T])
-    return kernel_row(k, cols, lift(k, u, row_sq_norms(u)[0]))
-
-
-def test_norm_expansion_matches_direct_difference():
-    rng = np.random.default_rng(12)
-    for k in (RealKernel.gaussian(5.0), RealKernel.gaussian(0.7), RealKernel.polynomial(2)):
-        for m in (1, 3, 17, 500):
-            z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            centers = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
-            np.testing.assert_allclose(_expansion_row(k, z, centers), _direct_rows(k, z, centers), rtol=1e-13, atol=1e-13)
-
-
-def test_norm_expansion_repeated_center_clamped():
-    # ||c||^2 + ||z||^2 - 2 c.z can round below 0 at c == z; the clamp keeps
-    # kappa <= 1, and the squared distance stays within rounding of 0
-    k = RealKernel.gaussian(0.05)
-    rng = np.random.default_rng(13)
-    for m in (2, 5, 64):
-        for _ in range(50):
-            centers = 3.0 * (rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6)))
-            i = int(rng.integers(m))
-            row = _expansion_row(k, centers[i], centers)
-            assert row[i] <= 1.0
-            dist_sq = -k.sigma**2 * np.log(row[i])
-            assert dist_sq <= 16 * np.finfo(float).eps * np.sum(np.abs(centers[i]) ** 2)
 
 
 @pytest.mark.parametrize("sigma", [np.inf, np.nan, 1e-200, 1e-160, 1e160])
