@@ -30,29 +30,4 @@ from .wirtinger import (
     property_suite,
 )
 
-__all__ = [
-    "ChannelConfig",
-    "CklmsFilter",
-    "ComplexNlms",
-    "EqualizationDataset",
-    "GradientCheckReport",
-    "LearningCurve",
-    "NoveltyCriterion",
-    "RealKernel",
-    "RunResult",
-    "StepResult",
-    "WirtingerPair",
-    "build_dataset",
-    "check_gradient",
-    "embed",
-    "generate_source",
-    "instantaneous_cost_check",
-    "kernel_eval",
-    "kernel_eval_many",
-    "numeric_wirtinger",
-    "property_suite",
-    "run_channel",
-    "run_experiment",
-]
-
 __version__ = "0.1.0"

@@ -203,7 +203,7 @@ def run_experiment(
     n_samples: int = 5000,
     runs: int = 20,
     mu: Optional[Mapping[str, float]] = None,
-    kernel: Optional[RealKernel] = None,
+    kernel: RealKernel = RealKernel.gaussian(DEFAULT_SIGMA),
     novelty: Optional[NoveltyCriterion] = DEFAULT_NOVELTY,
     seed: int = 0,
     smooth: int = 1,
@@ -233,13 +233,12 @@ def run_experiment(
         raise ValueError(f"smooth must be an integer >= 1, got {smooth!r}")
     steps = dict(DEFAULT_MU)
     steps.update(mu or {})
-    kernel = kernel if kernel is not None else RealKernel.gaussian(DEFAULT_SIGMA)
     unknown = [a for a in [*algorithms, *steps] if a not in ALGORITHMS]
     # a repeated name would add its squared errors into one curve once per occurrence
-    if unknown or len(set(algorithms)) != len(algorithms):
+    if not algorithms or unknown or len(set(algorithms)) != len(algorithms):
         raise ValueError(
             f"unknown or repeated algorithms in {list(algorithms)} or mu keys {list(steps)};"
-            f" expected distinct names among {ALGORITHMS}"
+            f" expected one or more distinct names among {ALGORITHMS}"
         )
 
     # spawned once, up front: spawning again from a run's seed would give other children

@@ -47,30 +47,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """Parse argv; for `equalize`, also build `config`, `real_kernel` and `novelty`
-    (None for thresholds (0, 0)) from the flags, and exit 2 on a value they reject."""
+    """Parse argv into the parser's flags; `run_equalize` builds the objects they describe."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "equalize":
-        if args.algorithm == "all" and args.mu is not None:
-            parser.error("--mu cannot be combined with --algorithm all; per-algorithm defaults apply")
-        try:
-            args.config = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
-            if args.kernel == "gaussian":
-                args.real_kernel = RealKernel.gaussian(args.sigma)
-            else:
-                args.real_kernel = RealKernel.polynomial(args.degree)
-            novelty = NoveltyCriterion(args.novelty_d1, args.novelty_d2)
-        except ValueError as exc:
-            parser.error(str(exc))
-        args.novelty = novelty if novelty.delta1 > 0 or novelty.delta2 > 0 else None
+    if args.subcommand == "equalize" and args.algorithm == "all" and args.mu is not None:
+        parser.error("--mu cannot be combined with --algorithm all; per-algorithm defaults apply")
     return args
 
 
 def _config_comment(args: argparse.Namespace, mu_map: dict) -> str:
-    # the equalize flags in parser order, the order a bare parse sets them in; --mu is echoed per algorithm
-    flags = [name for name in vars(build_parser().parse_args(["equalize"])) if name not in ("subcommand", "mu")]
-    parts = [f"{name}={getattr(args, name)}" for name in flags]
+    # the equalize flags in parser order; --mu is echoed per algorithm
+    parts = [f"{name}={value}" for name, value in vars(args).items() if name not in ("subcommand", "mu")]
     parts += [f"mu_{algo.replace('-', '_')}={mu_map[algo]!r}" for algo in channel.ALGORITHMS]
     return "# " + " ".join(parts)
 
@@ -99,16 +86,21 @@ def run_equalize(args: argparse.Namespace) -> int:
     if args.mu is not None:
         mu_map[args.algorithm] = args.mu
     try:
+        config = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
+        if args.kernel == "gaussian":
+            kernel = RealKernel.gaussian(args.sigma)
+        else:
+            kernel = RealKernel.polynomial(args.degree)
         curves = channel.run_experiment(
             algos,
-            args.config,
+            config,
             L=args.filter_length,
             D=args.delay,
             n_samples=args.samples,
             runs=args.runs,
             mu=mu_map,
-            kernel=args.real_kernel,
-            novelty=args.novelty,
+            kernel=kernel,
+            novelty=NoveltyCriterion(args.novelty_d1, args.novelty_d2),
             seed=args.seed,
             smooth=args.smooth,
         )

@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,12 @@ class TestParseArgs:
         keys = [part.split("=")[0] for part in cli._config_comment(args, DEFAULT_MU).split()[1:]]
         assert keys == [*flags, "mu_cklms", "mu_nclms", "mu_wl_nclms"]
 
+    def test_namespace_holds_only_the_flags(self):
+        # run_equalize builds the model objects; the namespace is what the parser set, in its order
+        subcommands = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+        dests = [a.dest for a in subcommands.choices["equalize"]._actions if a.dest != "help"]
+        assert list(vars(cli.parse_args(["equalize"]))) == ["subcommand", *dests]
+
     def test_noncircular_flag(self):
         args = cli.parse_args(["equalize", "--rho", "0.1"])
         assert args.rho == 0.1
@@ -69,11 +76,6 @@ class TestParseArgs:
     def test_malformed_value_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_args(["equalize", "--samples", "many"])
-        assert exc.value.code == 2
-
-    def test_rho_out_of_range_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["equalize", "--rho", "1.5"])
         assert exc.value.code == 2
 
     def test_mu_with_all_rejected(self):
@@ -223,7 +225,7 @@ class TestMain:
     def test_invalid_model_argument_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert cli.main(["equalize", *flags, "--samples", "30", "--runs", "1", "--output", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert re.fullmatch(r"ckaf equalize: error: [^\n]*\n", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -256,7 +258,7 @@ class TestMain:
     def test_value_rejected_by_library_exits_2(self, flags, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert cli.main(["equalize", "--samples", "30", "--runs", "1", "--output", str(out), *flags]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert re.fullmatch(r"ckaf equalize: error: [^\n]*\n", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the CKLMS streams fan out only where fork exists")
