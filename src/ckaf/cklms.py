@@ -64,7 +64,7 @@ class NoveltyCriterion:
     A candidate is rejected when its feature-space distance to the
     dictionary falls below delta1, or (otherwise) when the magnitude of
     its prediction error falls below delta2. A zero threshold never
-    rejects, so (0, 0) is equivalent to no criterion at all.
+    rejects, so (0, 0) admits every sample whose error is not NaN.
     """
 
     delta1: float
@@ -85,7 +85,6 @@ class StepResult(NamedTuple):
 class RunResult(NamedTuple):
     """Per-step outputs of CklmsFilter.run, one entry per sample."""
 
-    predictions: np.ndarray  # complex
     errors: np.ndarray  # complex
     admitted: np.ndarray  # bool
 
@@ -104,8 +103,8 @@ class CklmsFilter:
         When True (NCKLMS) the per-step weights are divided by
         gamma = 2*kappa(z, z); for the Gaussian kernel gamma == 2.
     novelty:
-        Optional NoveltyCriterion controlling dictionary growth; None
-        admits every sample.
+        NoveltyCriterion controlling dictionary growth; the default
+        (0, 0) admits every sample whose error is not NaN.
 
     `pickle` and `copy.deepcopy` carry the whole filter, configuration
     included, so a restored copy continues the stream bit for bit.
@@ -116,7 +115,7 @@ class CklmsFilter:
         kernel: RealKernel,
         mu: float,
         normalized: bool = True,
-        novelty: Optional[NoveltyCriterion] = None,
+        novelty: NoveltyCriterion = NoveltyCriterion(0.0, 0.0),
     ):
         if not 0 < mu < math.inf:
             raise ValueError(f"mu must be positive and finite, got {mu}")
@@ -181,8 +180,9 @@ class CklmsFilter:
         e = d - prediction
         n, novelty = self._n, self.novelty
         # the error gate is one comparison, so it goes first; a NaN error fails it
-        admitted = novelty is None or abs(e) >= novelty.delta2
-        if admitted and novelty is not None and n > 0:
+        admitted = abs(e) >= novelty.delta2
+        # a zero delta1 never rejects, so the row reduction is skipped
+        if admitted and n > 0 and novelty.delta1 > 0:
             if self.kernel.kind == GAUSSIAN:
                 # kappa(z, z) = kappa(z_k, z_k) = 1, so ||Phi(z) - Phi(z_k)||^2 = 4 (1 - kappa(z, z_k))
                 dist_sq = 4.0 * (1.0 - float(k.max()))
@@ -245,13 +245,12 @@ class CklmsFilter:
             raise ValueError("non-finite input sample; run rejected")
         queries = _lift(self.kernel, rows, sq_norms)
         n = targets.size
-        predictions = np.empty(n, dtype=complex)
         errors = np.empty(n, dtype=complex)
         admitted = np.zeros(n, dtype=bool)
         for i, (u, u_sq, q, d) in enumerate(zip(rows, map(float, sq_norms), queries, map(complex, targets))):
-            predictions[i], e, admitted[i] = self._step(u, u_sq, q, d)
+            _, e, admitted[i] = self._step(u, u_sq, q, d)
             errors[i] = e
             if not math.isfinite(e.real * e.real + e.imag * e.imag):
                 n = i + 1
                 break
-        return RunResult(predictions[:n], errors[:n], admitted[:n])
+        return RunResult(errors[:n], admitted[:n])

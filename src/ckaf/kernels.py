@@ -59,14 +59,12 @@ class RealKernel:
 def embed(z) -> np.ndarray:
     """Map z in C^nu to (Re z_1..Re z_nu, Im z_1..Im z_nu) in R^(2*nu).
 
-    z must be a 1-D complex vector with nu >= 1, or an (N, nu) block of
-    them that is embedded row by row, with finite entries.
+    z must be a 1-D complex vector with nu >= 1, or an (N, nu) block of them,
+    embedded row by row. A caller rejects a non-finite entry by its squared norm.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim > 2 or z.shape[-1] == 0:
         raise ValueError(f"expected a nonempty complex vector or an (N, nu) block of them, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("complex input vector contains non-finite entries")
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
@@ -85,9 +83,9 @@ def row_sq_norms(rows: np.ndarray) -> np.ndarray:
 def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """kappa(z, c) by its definition on the R^(2*nu) identification, for every row c of `centers`.
 
-    z is a length-nu complex vector, centers an (m, nu) complex array, both
-    with finite entries; returns a length-m float array. A squared distance
-    or kernel value that overflows raises.
+    z is a length-nu complex vector, centers an (m, nu) complex array; returns
+    a length-m float array. A non-finite input, or a squared distance or
+    kernel value that overflows, raises.
     """
     u, rows = embed(z), embed(np.atleast_2d(centers))
     if u.shape != rows.shape[1:]:
@@ -96,7 +94,7 @@ def kernel_eval_many(k: RealKernel, z: np.ndarray, centers: np.ndarray) -> np.nd
         dist_sq = row_sq_norms(rows - u)
         kappa = np.exp(-dist_sq / (k.sigma * k.sigma)) if k.kind == GAUSSIAN else (1.0 + rows @ u) ** k.degree
     if not (np.isfinite(dist_sq) & np.isfinite(kappa)).all():
-        raise ValueError("a squared distance or kernel value overflows; input rejected")
+        raise ValueError("a non-finite input, or a squared distance or kernel value that overflows; input rejected")
     return kappa
 
 

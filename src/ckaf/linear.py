@@ -59,28 +59,13 @@ class ComplexNlms:
         """Weights of x* (a view), or None when the filter is strictly linear."""
         return self._w[self.n_taps :] if self.widely_linear else None
 
-    def _sample(self, x) -> tuple[np.ndarray, float]:
-        """Validate one input vector; return it and the power that normalizes its step."""
-        x = np.atleast_1d(np.asarray(x, dtype=complex))
-        if x.shape != (self.n_taps,):
-            raise ValueError(f"input length {x.shape} does not match filter length ({self.n_taps},)")
-        power = float(np.vdot(x, x).real)
-        # a non-finite entry of x makes its power non-finite
-        if not math.isfinite(power):
-            raise ValueError("non-finite input sample; update rejected")
-        return x, 2.0 * power if self.widely_linear else power
-
-    def _output(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """h^H x (+ g^H x*) for each weight row of w and input row of x, rows with unit stride."""
+    def _step(self, w: np.ndarray, x: np.ndarray, gain, d) -> tuple[np.ndarray, np.ndarray]:
+        """The normalized-LMS step of R filters on R input rows (unit stride), with gains mu / (power + _EPS):
+        the outputs h^H x (+ g^H x*) and errors, both pre-update."""
         y = np.vecdot(w[:, : self.n_taps], x)
         if self.widely_linear:
             # h^H x and g^H x* are summed apart, so that g = 0 leaves h^H x exact
             y += np.vecdot(w[:, self.n_taps :], x.conj())
-        return y
-
-    def _step(self, w: np.ndarray, x: np.ndarray, gain, d) -> tuple[np.ndarray, np.ndarray]:
-        """The normalized-LMS step of R filters on R input rows, with gains mu / (power + _EPS)."""
-        y = self._output(w, x)
         e = d - y
         c = (gain * e.conj())[:, np.newaxis]
         w[:, : self.n_taps] += c * x
@@ -88,17 +73,20 @@ class ComplexNlms:
             w[:, self.n_taps :] += c * x.conj()
         return y, e
 
-    def predict(self, x) -> complex:
-        """Filter output h^H x (+ g^H x* when widely linear)."""
-        return complex(self._output(self._w[np.newaxis], self._sample(x)[0][np.newaxis])[0])
-
     def update(self, x, d: complex) -> tuple[complex, complex]:
         """One normalized-LMS step; returns (prediction, error), both pre-update."""
-        x, power = self._sample(x)
+        x = np.atleast_1d(np.asarray(x, dtype=complex))
+        if x.shape != (self.n_taps,):
+            raise ValueError(f"input length {x.shape} does not match filter length ({self.n_taps},)")
+        power = float(np.vdot(x, x).real)
+        # a non-finite entry of x makes its power non-finite
+        if not math.isfinite(power):
+            raise ValueError("non-finite input sample; update rejected")
         d = complex(d)
         if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; update rejected")
-        y, e = self._step(self._w[np.newaxis], x[np.newaxis], self.mu / (power + _EPS), d)
+        gain = self.mu / ((2.0 * power if self.widely_linear else power) + _EPS)
+        y, e = self._step(self._w[np.newaxis], x[np.newaxis], gain, d)
         return complex(y[0]), complex(e[0])
 
     def run(self, inputs, targets) -> np.ndarray:

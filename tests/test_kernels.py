@@ -50,11 +50,6 @@ def test_embed_unembed_bijective():
         np.testing.assert_array_equal(unembed(embed(z)), z)
 
 
-def test_embed_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        embed([1 + 1j, np.nan + 0j])
-
-
 @pytest.mark.parametrize("z", [[], np.empty((3, 0), dtype=complex)], ids=["vector", "block"])
 def test_embed_rejects_empty_vectors(z):
     with pytest.raises(ValueError, match="nonempty"):

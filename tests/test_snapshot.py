@@ -33,7 +33,7 @@ def _stream(n=600):
 
 
 def _outputs(result):
-    """(predictions, errors, admitted) of a CKLMS run, or (errors,) of an NLMS run."""
+    """(errors, admitted) of a CKLMS run, or (errors,) of an NLMS run."""
     return tuple(result) if isinstance(result, tuple) else (result,)
 
 
@@ -64,5 +64,5 @@ def test_restored_filter_finishes_stream_bit_for_bit(make, restore):
         assert np.array_equal(got, want)
     if isinstance(restored, CklmsFilter):
         assert restored.dictionary_size > 32  # and doubles again after the restore
-        if restored.novelty is not None:
-            assert 0 < second[2].sum() < len(second[2])  # both admissions and rejections
+        if restored.novelty.delta1:
+            assert 0 < second[1].sum() < len(second[1])  # both admissions and rejections
