@@ -50,29 +50,19 @@ def numeric_wirtinger(f: ScalarField, w, h: float = 1e-5) -> WirtingerPair:
     if not h > 0:
         raise ValueError(f"step h must be positive, got {h}")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    m = w.size
-    d_z = np.empty(m, dtype=complex)
-    d_zstar = np.empty(m, dtype=complex)
-    for j in range(m):
-        t_x = _central(f, w, j, h, imaginary=False)
-        t_y = _central(f, w, j, h, imaginary=True)
-        d_z[j] = 0.5 * (t_x - 1j * t_y)
-        d_zstar[j] = 0.5 * (t_x + 1j * t_y)
-    return WirtingerPair(d_z=d_z, d_zstar=d_zstar)
-
-
-def _central(f: ScalarField, w: np.ndarray, j: int, h: float, imaginary: bool) -> complex:
-    delta = 1j * h if imaginary else h
-    wp = w.copy()
-    wp[j] += delta
-    fp = complex(f(wp))
-    wm = w.copy()
-    wm[j] -= delta
-    fm = complex(f(wm))
-    if not (cmath.isfinite(fp) and cmath.isfinite(fm)):
-        part = "imaginary" if imaginary else "real"
-        raise ValueError(f"non-finite field value probing the {part} part of coordinate {j}")
-    return (fp - fm) / (2.0 * h)
+    t = np.empty((2, w.size), dtype=complex)  # central differences: T_x in row 0, T_y in row 1
+    for j in range(w.size):
+        for k, (part, delta) in enumerate((("real", h), ("imaginary", 1j * h))):
+            wp = w.copy()
+            wp[j] += delta
+            fp = complex(f(wp))
+            wm = w.copy()
+            wm[j] -= delta
+            fm = complex(f(wm))
+            if not (cmath.isfinite(fp) and cmath.isfinite(fm)):
+                raise ValueError(f"non-finite field value probing the {part} part of coordinate {j}")
+            t[k, j] = (fp - fm) / (2.0 * h)
+    return WirtingerPair(d_z=0.5 * (t[0] - 1j * t[1]), d_zstar=0.5 * (t[0] + 1j * t[1]))
 
 
 @dataclass
@@ -103,8 +93,8 @@ def check_gradient(
     Runs the full step ladder and keeps the best step; passes when the
     per-coordinate max-norm relative error at that step is below tol.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     ana = analytic(w)
     err = min(_pair_error(numeric_wirtinger(f, w, h), ana) for h in STEP_LADDER)
@@ -207,12 +197,12 @@ def property_suite(rng_seed: int = 0, trials: int = 100, tol: float = 1e-6, max_
     Taylor expansion, the four inner-product derivative forms, and the
     product rule for holomorphic factors.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (isinstance(max_dim, (int, np.integer)) and max_dim >= 1):
+        raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
     rng = np.random.default_rng(rng_seed)
     report = SuiteReport(trials=trials, tol=tol)
 
@@ -342,8 +332,8 @@ def instantaneous_cost_check(
     -e* Phi(z) (and its conjugate, since the cost is real) can be
     compared against finite differences.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if not (isinstance(n_trials, (int, np.integer)) and n_trials >= 1):
+        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     rng = np.random.default_rng(rng_seed)
     reports = []
     for _ in range(n_trials):

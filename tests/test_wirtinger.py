@@ -84,14 +84,43 @@ def test_check_gradient_detects_wrong_derivative():
     assert report.error == pytest.approx(1.0, abs=1e-3)
 
 
-def test_nonfinite_probe_reports_coordinate():
-    def f(w):
-        if abs(w[1].imag) > 0.5:
-            return complex("nan")
-        return w[0]
+def test_check_gradient_rejects_infinite_tolerance():
+    # tol = inf would pass any pair, here d_z = 5 and d_z* = 7 for T(w) = w
+    wrong = lambda w: WirtingerPair(d_z=np.full_like(w, 5), d_zstar=np.full_like(w, 7))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        check_gradient(lambda w: w[0], wrong, np.array([1 + 1j]), tol=float("inf"))
 
-    with pytest.raises(ValueError, match="coordinate 1"):
-        numeric_wirtinger(f, np.array([0j, 0.5j]), 1e-3)
+
+def test_probe_evaluates_the_field_4m_times_in_order():
+    """re+h, re-h, im+h, im-h for each coordinate; check_gradient repeats
+    that once per step of its ladder."""
+    w0 = np.array([0.3 + 0.7j, -0.2 + 0.1j, 0.5 - 0.4j])
+    probes = []
+
+    def field(w):
+        (j,) = np.flatnonzero(w != w0)
+        d = w[j] - w0[j]
+        probes.append((int(j), "im" if d.real == 0 else "re", "+" if d.real + d.imag > 0 else "-"))
+        return complex(np.sum(w))
+
+    expected = [(j, part, sign) for j in range(w0.size) for part in ("re", "im") for sign in "+-"]
+    numeric_wirtinger(field, w0, 1e-3)
+    assert probes == expected  # 4m evaluations
+    probes.clear()
+    check_gradient(field, lambda w: WirtingerPair(np.ones_like(w), np.zeros_like(w)), w0, tol=1e-6)
+    assert probes == expected * 3  # 12m: one set per step of STEP_LADDER
+
+
+@pytest.mark.parametrize("part", ["real", "imaginary"])
+def test_nonfinite_probe_reports_coordinate(part):
+    def f(w):
+        # finite until a probe moves coordinate 1 along the part under test
+        component = w[1].real if part == "real" else w[1].imag
+        return complex("nan") if abs(component) > 0.5 else w[0]
+
+    w = np.array([0j, 0.5 if part == "real" else 0.5j])
+    with pytest.raises(ValueError, match=f"probing the {part} part of coordinate 1"):
+        numeric_wirtinger(f, w, 1e-3)
 
 
 def test_invalid_step_rejected():
@@ -106,7 +135,7 @@ def test_property_suite_all_pass():
     assert [r.number for r in report.results] == list(range(1, 12))
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, 2.5])
 def test_property_suite_rejects_no_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         property_suite(trials=trials)
@@ -118,9 +147,11 @@ def test_property_suite_rejects_no_trials(trials):
         ({"tol": 0.0}, "tol must be positive"),
         ({"tol": -1e-6}, "tol must be positive"),
         ({"tol": float("nan")}, "tol must be positive"),
-        ({"max_dim": 0}, "max_dim must be >= 1"),
+        ({"tol": float("inf")}, "tol must be positive"),
+        ({"max_dim": 0}, "max_dim must be an integer >= 1"),
+        ({"max_dim": 2.5}, "max_dim must be an integer >= 1"),
     ],
-    ids=["tol-zero", "tol-negative", "tol-nan", "max_dim-zero"],
+    ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "max_dim-zero", "max_dim-fractional"],
 )
 def test_property_suite_rejects_bad_arguments(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -182,7 +213,7 @@ def test_instantaneous_cost_gradient_surrogate():
     assert all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("n_trials", [0, -5])
+@pytest.mark.parametrize("n_trials", [0, -5, 2.5])
 def test_instantaneous_cost_check_rejects_no_trials(n_trials):
     with pytest.raises(ValueError, match="n_trials"):
         instantaneous_cost_check(n_trials=n_trials)
