@@ -12,7 +12,6 @@ the instantaneous squared error per iteration.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -166,7 +165,7 @@ def _cklms_run(cfg, n_samples, L, D, mu, kernel, novelty, seed_pair):
 def _pool(streams: int):
     """A pool of forked processes, one per usable core and at most one per stream, or None where the
     streams run in this process: one worker would do, `fork` is missing, or this process is a
-    daemonic worker, which may not fork. A worker leaves Ctrl-C to the parent, which ends it."""
+    daemonic worker, which may not fork. A worker leaves Ctrl-C to the parent."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -220,10 +219,10 @@ def run_experiment(
     Runs are drawn in banks of at most 10. A linear filter steps a
     bank's runs together. Each CKLMS run is a task that draws its own
     stream from its seed pair, so it needs nothing but its picklable
-    arguments. One pool of forked workers, one per usable core
-    (`os.sched_getaffinity`), takes the tasks bank by bank, and the
-    curves are the same bytes for any core count; `taskset -c 0` keeps
-    the runs in this process.
+    arguments. Forked workers, one per usable core, run a bank's CKLMS
+    tasks while this process steps its linear filters, one bank queued
+    at a time; the curves are the same bytes for any core count, and
+    `taskset -c 0` keeps the runs in this process.
     """
     if not (isinstance(runs, (int, np.integer)) and runs >= 1):
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
@@ -239,21 +238,22 @@ def run_experiment(
             f" expected one or more distinct names among {ALGORITHMS}"
         )
 
-    # spawned once, up front: spawning again from a run's seed would give other children
-    seed_pairs = [run_seed.spawn(2) for run_seed in np.random.SeedSequence(seed).spawn(runs)]
     cklms = functools.partial(_cklms_run, cfg, n_samples, L, D, steps["cklms"], kernel, novelty)
     pool = _pool(min(runs, _BANK)) if "cklms" in algorithms else None
     sum_err = dict.fromkeys(algorithms, 0.0)
     sum_size = dict.fromkeys(algorithms, 0.0)
-    # leaving the pool terminates it: a divergence or a worker's error ends the runs still going
-    with pool or contextlib.nullcontext():
+    try:
         for first in range(0, runs, _BANK):
-            pairs = seed_pairs[first : first + _BANK]
+            # SeedSequence(seed).spawn(runs)[run], made per bank so the seeds of later runs are not held
+            pairs = [np.random.SeedSequence(seed, spawn_key=(run,)).spawn(2) for run in range(runs)[first : first + _BANK]]
+            # queued one bank at a time, before the linear filters step, so the workers run them meanwhile
+            tasks = (pool.imap if pool else map)(cklms, pairs)
             dataset = _draw(cfg, n_samples, L, D, pairs) if set(algorithms) - {"cklms"} else None
             failures = []
-            for order, name in enumerate(algorithms):
+            # the CKLMS results are taken last; a failure keeps its algorithm's requested order
+            for order, name in sorted(enumerate(algorithms), key=lambda item: item[1] == "cklms"):
                 if name == "cklms":
-                    streams = ((e, np.cumsum(a, dtype=float)) for e, a in (pool.imap if pool else map)(cklms, pairs))
+                    streams = ((e, np.cumsum(a, dtype=float)) for e, a in tasks)
                 else:
                     linear = ComplexNlms(L + 1, steps[name], widely_linear=name == "wl-nclms")
                     streams = ((e, np.zeros(e.size)) for e in linear.run(dataset.inputs, dataset.targets))
@@ -272,6 +272,11 @@ def run_experiment(
                 run, _, name, step = min(failures)
                 raise RuntimeError(f"{name} diverged: non-finite error at step {step} of run {run}")
             del dataset  # free this bank before the next one is drawn
+    finally:
+        # queued runs finish first: Pool.terminate() can hang for good if it ends a worker writing a result
+        if pool:
+            pool.close()
+            pool.join()
 
     curves = {}
     for name in algorithms:

@@ -47,8 +47,8 @@ def numeric_wirtinger(f: ScalarField, w, h: float = 1e-5) -> WirtingerPair:
     the +-h neighborhood of every real coordinate of w. Error is O(h^2)
     for thrice-differentiable fields.
     """
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     t = np.empty((2, w.size), dtype=complex)  # central differences: T_x in row 0, T_y in row 1
     for j in range(w.size):

@@ -128,6 +128,13 @@ def test_invalid_step_rejected():
         numeric_wirtinger(lambda w: w[0], np.array([0j]), 0.0)
 
 
+def test_infinite_step_rejected():
+    # every probe of a bounded field at h = inf reads 0, so the pair came back zero where it is not
+    field = lambda w: complex(np.exp(-abs(w[0]) ** 2))
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        numeric_wirtinger(field, [0.3 + 0.1j], h=float("inf"))
+
+
 def test_property_suite_all_pass():
     report = property_suite(rng_seed=0)
     assert report.all_passed, [str(r) for r in report.results if not r.passed]
