@@ -148,22 +148,24 @@ def build_dataset(r, s, L: int, D: int) -> EqualizationDataset:
     return EqualizationDataset(inputs=windows[..., D : D + n_total, :], targets=s[..., :n_total])
 
 
-def _draw(cfg: ChannelConfig, n_samples: int, L: int, D: int, seed_pairs) -> EqualizationDataset:
-    """The stacked datasets of the runs whose (source, noise) seeds are seed_pairs."""
-    s = np.array([generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source) for source, _ in seed_pairs])
-    return build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, seed_pairs)], s, L, D)
+def _draw(cfg: ChannelConfig, n_samples: int, L: int, D: int, seed: int, runs) -> EqualizationDataset:
+    """The stacked datasets of the given runs: run j draws its source, then its noise, from the two
+    children of child j of SeedSequence(seed), which it rebuilds from the integers (seed, j)."""
+    pairs = [np.random.SeedSequence(seed, spawn_key=(run,)).spawn(2) for run in runs]
+    s = np.array([generate_source(n_samples, cfg.rho, cfg.amplitude, seed=source) for source, _ in pairs])
+    return build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, pairs)], s, L, D)
 
 
-def _cklms_run(cfg, n_samples, L, D, mu, kernel, novelty, seed_pair):
-    """Errors and admission mask of a CKLMS filter on the run it draws from its (source, noise) seeds:
+def _cklms_run(cfg, n_samples, L, D, mu, kernel, novelty, seed, run):
+    """Errors and admission mask of a CKLMS filter on the stream it draws for run `run` of `seed`:
     a task of picklable arguments, which needs nothing from the process that sent it."""
-    dataset = _draw(cfg, n_samples, L, D, [seed_pair])
+    dataset = _draw(cfg, n_samples, L, D, seed, [run])
     result = CklmsFilter(kernel, mu, True, novelty).run(dataset.inputs[0], dataset.targets[0])
     return result.errors, result.admitted
 
 
 def _pool(streams: int):
-    """A pool of forked processes, one per usable core and at most one per stream, or None where the
+    """An executor of forked processes, one per usable core and at most one per stream, or None where the
     streams run in this process: one worker would do, `fork` is missing, or this process is a
     daemonic worker, which may not fork. A worker leaves Ctrl-C to the parent."""
     try:
@@ -174,11 +176,12 @@ def _pool(streams: int):
     if workers < 2 or not hasattr(os, "fork"):
         return None
     import multiprocessing
-    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from signal import SIG_IGN, SIGINT, signal
 
     if multiprocessing.current_process().daemon:
         return None
-    return multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), signal, (SIGINT, SIG_IGN))
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -208,21 +211,21 @@ def run_experiment(
     """Monte-Carlo learning curves for the requested algorithms.
 
     Every run draws a fresh source, channel noise and dataset; all
-    algorithms see the same stream within a run. Randomness derivation
-    is fixed: SeedSequence(seed).spawn(runs) yields one child per run
-    index, and each child spawns the (source, noise) seeds in that
-    order, so identical configurations reproduce bit-exactly. Errors
-    are recorded before the update at each step, and the squared-error
-    curves (and kernel dictionary sizes) are averaged pointwise across
-    runs. `smooth` >= 1 is the window of a trailing moving average.
+    algorithms see the same stream within a run. Run j draws them from
+    SeedSequence(seed).spawn(runs)[j] (see _draw), so identical
+    configurations reproduce bit-exactly. Errors are recorded before
+    the update at each step, and the squared-error curves (and kernel
+    dictionary sizes) are averaged pointwise across runs. `smooth` >= 1
+    is the window of a trailing moving average.
 
     Runs are drawn in banks of at most 10. A linear filter steps a
     bank's runs together. Each CKLMS run is a task that draws its own
-    stream from its seed pair, so it needs nothing but its picklable
-    arguments. Forked workers, one per usable core, run a bank's CKLMS
-    tasks while this process steps its linear filters, one bank queued
-    at a time; the curves are the same bytes for any core count, and
-    `taskset -c 0` keeps the runs in this process.
+    stream from the two integers (seed, run). Forked workers, one per
+    usable core, run a bank's CKLMS tasks while this process steps its
+    linear filters, one bank queued at a time; the curves are the same
+    bytes for any core count, and `taskset -c 0` keeps the runs in this
+    process. Leaving, on an error or Ctrl-C too, cancels the runs no
+    worker has taken yet; a killed worker raises RuntimeError.
     """
     if not (isinstance(runs, (int, np.integer)) and runs >= 1):
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
@@ -238,17 +241,16 @@ def run_experiment(
             f" expected one or more distinct names among {ALGORITHMS}"
         )
 
-    cklms = functools.partial(_cklms_run, cfg, n_samples, L, D, steps["cklms"], kernel, novelty)
+    cklms = functools.partial(_cklms_run, cfg, n_samples, L, D, steps["cklms"], kernel, novelty, seed)
     pool = _pool(min(runs, _BANK)) if "cklms" in algorithms else None
     sum_err = dict.fromkeys(algorithms, 0.0)
     sum_size = dict.fromkeys(algorithms, 0.0)
     try:
         for first in range(0, runs, _BANK):
-            # SeedSequence(seed).spawn(runs)[run], made per bank so the seeds of later runs are not held
-            pairs = [np.random.SeedSequence(seed, spawn_key=(run,)).spawn(2) for run in range(runs)[first : first + _BANK]]
+            bank = range(runs)[first : first + _BANK]
             # queued one bank at a time, before the linear filters step, so the workers run them meanwhile
-            tasks = (pool.imap if pool else map)(cklms, pairs)
-            dataset = _draw(cfg, n_samples, L, D, pairs) if set(algorithms) - {"cklms"} else None
+            tasks = (pool.map if pool else map)(cklms, bank)
+            dataset = _draw(cfg, n_samples, L, D, seed, bank) if set(algorithms) - {"cklms"} else None
             failures = []
             # the CKLMS results are taken last; a failure keeps its algorithm's requested order
             for order, name in sorted(enumerate(algorithms), key=lambda item: item[1] == "cklms"):
@@ -256,7 +258,7 @@ def run_experiment(
                     streams = ((e, np.cumsum(a, dtype=float)) for e, a in tasks)
                 else:
                     linear = ComplexNlms(L + 1, steps[name], widely_linear=name == "wl-nclms")
-                    streams = ((e, np.zeros(e.size)) for e in linear.run(dataset.inputs, dataset.targets))
+                    streams = ((e, 0.0) for e in linear.run(dataset.inputs, dataset.targets))
                 for j, (e, sizes) in enumerate(streams):
                     # rebinding e to its square drops the row view that would keep a bank of linear errors alive
                     with np.errstate(over="ignore"):
@@ -273,13 +275,11 @@ def run_experiment(
                 raise RuntimeError(f"{name} diverged: non-finite error at step {step} of run {run}")
             del dataset  # free this bank before the next one is drawn
     finally:
-        # queued runs finish first: Pool.terminate() can hang for good if it ends a worker writing a result
-        if pool:
-            pool.close()
-            pool.join()
+        if pool:  # runs not yet handed to a worker are cancelled; the running ones finish
+            pool.shutdown(cancel_futures=True)
 
     curves = {}
     for name in algorithms:
         mse = _moving_average(sum_err[name] / runs, smooth)
-        curves[name] = LearningCurve(mse=mse, dict_size=sum_size[name] / runs, runs=runs)
+        curves[name] = LearningCurve(mse=mse, dict_size=np.zeros(mse.size) + sum_size[name] / runs, runs=runs)
     return curves

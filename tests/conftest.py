@@ -1,6 +1,6 @@
 """Fixtures shared by the test modules."""
 
-import multiprocessing.pool
+import concurrent.futures
 import os
 
 import pytest
@@ -9,15 +9,15 @@ import pytest
 @pytest.fixture
 def usable_cores(monkeypatch):
     """Return a function that pretends n usable cores and returns the list of the worker
-    counts of the pools built from then on."""
+    counts of the process pools built from then on."""
     built = []
 
-    class CountedPool(multiprocessing.pool.Pool):
-        def __init__(self, processes=None, *args, **kwargs):
-            built.append(processes)
-            super().__init__(processes, *args, **kwargs)
+    class CountedExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedExecutor)
 
     def pretend(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -1,18 +1,21 @@
 """Channel benchmark tests: source statistics, channel arithmetic,
 dataset construction, and the Monte-Carlo harness."""
 
+import concurrent.futures
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ckaf
 from ckaf.channel import (
     ALGORITHMS,
     ChannelConfig,
@@ -525,14 +528,14 @@ def test_divergence_in_one_run_names_the_first_requested_algorithm_not_the_first
 
 @needs_fork
 def test_each_bank_queues_its_cklms_tasks_before_its_linear_filters_step(usable_cores, monkeypatch):
-    usable_cores(2)
+    built = usable_cores(2)
     events = []
 
-    class RecordingPool(multiprocessing.pool.Pool):
-        def imap(self, func, iterable, chunksize=1):
-            tasks = list(iterable)
-            events.append(("queued", len(tasks)))
-            results = super().imap(func, tasks, chunksize)
+    # a subclass of the fixture's counting executor, so `built` shows that this one ran the tasks
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, runs):
+            events.append(("queued", len(runs)))
+            results = super().map(fn, runs)
 
             def taken():
                 for result in results:
@@ -541,7 +544,7 @@ def test_each_bank_queues_its_cklms_tasks_before_its_linear_filters_step(usable_
 
             return taken()
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     linear_run = ComplexNlms.run
 
     def recorded_run(self, inputs, targets):
@@ -550,6 +553,7 @@ def test_each_bank_queues_its_cklms_tasks_before_its_linear_filters_step(usable_
 
     monkeypatch.setattr(ComplexNlms, "run", recorded_run)
     run_experiment(ALGORITHMS, ChannelConfig(), n_samples=200, runs=13, seed=6)
+    assert built == [2]
     bank = lambda size: [("queued", size), ("linear", size), ("linear", size), *[("taken", 1)] * size]
     assert events == bank(10) + bank(3)
     # the workers run a bank's tasks while its linear filters step, and only one bank is ever outstanding
@@ -572,44 +576,71 @@ def test_experiment_memory_does_not_grow_with_runs():
 
 
 @needs_fork
-def test_leaving_the_pool_after_a_divergence_waits_for_its_queued_runs(usable_cores, monkeypatch):
-    # Pool.terminate() can hang for good when it ends a worker that is writing a result, and here
-    # runs 1 to 3 are still queued when cklms diverges in run 0
-    usable_cores(2)
+def test_leaving_the_pool_after_a_divergence_cancels_its_queued_runs(usable_cores, monkeypatch):
+    # runs 1 to 3 may still be queued when cklms diverges in run 0: those no worker has taken are
+    # cancelled, and leaving waits only for the running ones
+    built = usable_cores(2)
     calls = []
 
-    class RecordingPool(multiprocessing.pool.Pool):
-        def close(self):
-            calls.append("close")
-            super().close()
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            calls.append((args, kwargs))
+            super().shutdown(*args, **kwargs)
 
-        def join(self):
-            calls.append("join")
-            super().join()
-
-        def terminate(self):
-            calls.append("terminate")
-            super().terminate()
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     with pytest.raises(RuntimeError, match="^cklms diverged: non-finite error at step 271 of run 0$"):
         run_experiment(["cklms"], ChannelConfig(), n_samples=290, runs=4, mu={"cklms": 12.0}, seed=1)
-    assert calls[:2] == ["close", "join"]
+    assert built == [2]
+    assert calls == [((), {"cancel_futures": True})]
 
+
+@needs_fork
+def test_a_killed_worker_ends_the_experiment(tmp_path):
+    # the task of run 1 kills its own worker, whose result then never comes; the parent must not wait for it
+    script = f"""
+import os, signal, sys
+from ckaf import channel, cli
+
+os.sched_getaffinity = lambda pid: {{0, 1}}  # two usable cores, so the CKLMS runs go to a pool
+run_cklms = channel._cklms_run
+
+def killed_in_run_1(*args):
+    if args[-1] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_cklms(*args)
+
+channel._cklms_run = killed_in_run_1
+try:
+    channel.run_experiment(["cklms"], channel.ChannelConfig(), n_samples=200, runs=4)
+except RuntimeError as exc:
+    print(type(exc).__name__)
+argv = ["equalize", "--algorithm", "cklms", "--runs", "4", "--samples", "200", "--output", {str(tmp_path / "c.csv")!r}]
+sys.exit(cli.main(argv))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ckaf.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "BrokenProcessPool\n"
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("experiment failed: ")
+    assert not (tmp_path / "c.csv").exists()
+
+
+@needs_fork
 def test_pooled_experiment_memory_does_not_grow_with_runs(usable_cores, monkeypatch):
     # the worst case of the overlap, made certain: every CKLMS result of a bank waits in this process while
     # its linear filters step. Seeds or results held for later banks would grow with runs.
-    usable_cores(2)
+    built = usable_cores(2)
 
-    class EagerPool(multiprocessing.pool.Pool):
-        def __init__(self, processes, initializer, *args, **kwargs):
+    # a subclass of the fixture's counting executor, so `built` shows that this one ran the tasks
+    class EagerExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             # a worker inherits the tracing at the fork; its memory is not this process's, and tracing slows it
-            super().__init__(processes, lambda *a: (tracemalloc.stop(), initializer(*a)), *args, **kwargs)
+            super().__init__(max_workers, mp_context, lambda *a: (tracemalloc.stop(), initializer(*a)), initargs)
 
-        def imap(self, func, iterable, chunksize=1):
-            return iter(list(super().imap(func, iterable, chunksize)))
+        def map(self, fn, runs):
+            return iter(list(super().map(fn, runs)))
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", EagerPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EagerExecutor)
     run_experiment(ALGORITHMS, ChannelConfig(), n_samples=50, runs=2)  # first-call allocations
     peaks = {}
     # past the first bank the sums are held, which reads about +6% at 200 or 300 samples; 300 keeps
@@ -621,4 +652,5 @@ def test_pooled_experiment_memory_does_not_grow_with_runs(usable_cores, monkeypa
             peaks[runs] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    assert built == [2, 2, 2]
     assert abs(peaks[40] - peaks[10]) <= 0.1 * peaks[10]
