@@ -167,7 +167,7 @@ def _cklms_run(cfg, n_samples, L, D, mu, kernel, novelty, seed, run):
 def _pool(streams: int):
     """An executor of forked processes, one per usable core and at most one per stream, or None where the
     streams run in this process: one worker would do, `fork` is missing, or this process is a
-    daemonic worker, which may not fork. A worker leaves Ctrl-C to the parent."""
+    daemonic worker, which may not fork."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -177,11 +177,21 @@ def _pool(streams: int):
         return None
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from signal import SIG_IGN, SIGINT, signal
 
     if multiprocessing.current_process().daemon:
         return None
-    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), signal, (SIGINT, SIG_IGN))
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, ())
+
+
+def _start_worker():
+    """A pool worker leaves Ctrl-C to the parent and exits when the parent dies, or it would wait for tasks forever."""
+    import multiprocessing
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # joining the parent waits on its sentinel, a pipe that reports end of file when the parent dies
+    threading.Thread(target=lambda: (multiprocessing.parent_process().join(), os._exit(1)), daemon=True).start()
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:

@@ -159,24 +159,26 @@ class CklmsFilter:
             raise ValueError("non-finite input sample; step rejected")
         return u, u_sq, _lift(self.kernel, u, u_sq)
 
-    def _predict(self, q: np.ndarray) -> tuple[np.ndarray, complex]:
-        """The kernel row kappa(z, z_k) over the centers, from one GEMV with the lifted query q of z,
-        and the prediction 2 * sum_k alpha_k kappa(z, z_k); an empty dictionary predicts 0."""
-        n = self._n
+    def _predict(self, q: np.ndarray) -> tuple[np.ndarray, complex, float]:
+        """The kernel row kappa(z, z_k) over the centers from one GEMV with the lifted query q of z, the prediction
+        2 * sum_k alpha_k kappa(z, z_k) (0 for no centers), and a Gaussian row's top before its clamp at 1, else 0."""
+        n, top = self._n, 0.0
         if n == 0:
-            return np.empty(0), 0j
+            return np.empty(0), 0j, top
         k = q @ self._cols[:, :n]
         if self.kernel.kind == GAUSSIAN:
-            np.minimum(k, 0.0, out=k)  # the norm expansion can round the exponent above 0
             np.exp(k, out=k)
+            top = k.item(k.argmax())
+            if top > 1.0:  # the expansion rounded an exponent above 0; exp is monotone, so this is exp(min(x, 0))
+                np.minimum(k, 1.0, out=k)
         else:
             np.power(k, self.kernel.degree, out=k)
         y_re, y_im = (self._alpha[:, :n] @ k).tolist()
-        return k, complex(2.0 * y_re, 2.0 * y_im)
+        return k, complex(2.0 * y_re, 2.0 * y_im), top
 
-    def _step(self, u: np.ndarray, u_sq: float, q: np.ndarray, d: complex) -> StepResult:
-        """The recursion on one validated sample: predict, measure the error, maybe admit z."""
-        k, prediction = self._predict(q)
+    def _step(self, u: np.ndarray, u_sq: float, q: np.ndarray, d: complex) -> tuple[complex, complex, bool]:
+        """The recursion on one validated sample: predict, measure the error, maybe admit z (a StepResult's fields)."""
+        k, prediction, top = self._predict(q)
         e = d - prediction
         n, novelty = self._n, self.novelty
         # the error gate is one comparison, so it goes first; a NaN error fails it
@@ -184,8 +186,8 @@ class CklmsFilter:
         # a zero delta1 never rejects, so the row reduction is skipped
         if admitted and n > 0 and novelty.delta1 > 0:
             if self.kernel.kind == GAUSSIAN:
-                # kappa(z, z) = kappa(z_k, z_k) = 1, so ||Phi(z) - Phi(z_k)||^2 = 4 (1 - kappa(z, z_k))
-                dist_sq = 4.0 * (1.0 - float(k.max()))
+                # kappa(z, z) = kappa(z_k, z_k) = 1: ||Phi(z) - Phi(z_k)||^2 = 4 (1 - kappa(z, z_k)), 0 where top > 1
+                dist_sq = 4.0 * (1.0 - top)
             else:
                 # ||Phi(z) - Phi(z_k)||^2 = 2 (kappa(z,z) - 2 kappa(z,z_k) + kappa(z_k,z_k))
                 kcc = _self_kernel(self.kernel, self._cols[0, :n])
@@ -206,7 +208,7 @@ class CklmsFilter:
             self._cols[2:, n] = u
             self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
             self._n = n + 1
-        return StepResult(prediction, e, admitted)
+        return prediction, e, admitted
 
     def predict(self, z) -> complex:
         """Filter output at z; an empty dictionary predicts 0."""
@@ -218,7 +220,7 @@ class CklmsFilter:
         d = complex(d)
         if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; step rejected")
-        return self._step(u, u_sq, q, d)
+        return StepResult(*self._step(u, u_sq, q, d))
 
     def run(self, inputs, targets) -> RunResult:
         """Process a whole stream: an (N, nu) complex block and its N targets.
@@ -244,13 +246,11 @@ class CklmsFilter:
         if not np.isfinite(sq_norms).all() or not math.isfinite(_self_kernel(self.kernel, largest)):
             raise ValueError("non-finite input sample; run rejected")
         queries = _lift(self.kernel, rows, sq_norms)
-        n = targets.size
-        errors = np.empty(n, dtype=complex)
-        admitted = np.zeros(n, dtype=bool)
-        for i, (u, u_sq, q, d) in enumerate(zip(rows, map(float, sq_norms), queries, map(complex, targets))):
-            _, e, admitted[i] = self._step(u, u_sq, q, d)
-            errors[i] = e
+        errors, admitted = [], []
+        for u, u_sq, q, d in zip(rows, sq_norms.tolist(), queries, targets.tolist()):
+            _, e, ok = self._step(u, u_sq, q, d)
+            errors.append(e)
+            admitted.append(ok)
             if not math.isfinite(e.real * e.real + e.imag * e.imag):
-                n = i + 1
                 break
-        return RunResult(errors[:n], admitted[:n])
+        return RunResult(np.array(errors, dtype=complex), np.array(admitted, dtype=bool))

@@ -72,12 +72,11 @@ def emit_csv(curves: dict, comment: str, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write(comment + "\n")
+        # an item of a memoryview is a Python float, which formats as a numpy scalar does at a fraction of the cost
+        columns = [(a, *map(memoryview, (curves[a].mse, curves[a].mse_db, curves[a].dict_size))) for a in names]
         for n in range(length):
-            for name in names:
-                c = curves[name]
-                fh.write(
-                    f"{n},{name},{c.mse[n]:.12e},{c.mse_db[n]:.12e},{c.dict_size[n]:.12g}\n"
-                )
+            for name, mse, mse_db, size in columns:
+                fh.write(f"{n},{name},{mse[n]:.12e},{mse_db[n]:.12e},{size[n]:.12g}\n")
 
 
 def run_equalize(args: argparse.Namespace) -> int:

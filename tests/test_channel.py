@@ -5,8 +5,11 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -623,6 +626,63 @@ sys.exit(cli.main(argv))
     assert proc.returncode == 1
     assert proc.stderr.startswith("experiment failed: ")
     assert not (tmp_path / "c.csv").exists()
+
+
+def _ended(pid):
+    """Whether process pid has ended: it is gone, or a zombie that its new parent has yet to reap."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states under /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_a_killed_experiment_takes_its_workers_with_it(signum):
+    # each worker prints its pid as it takes a run, and the parent dies once both are in a run of the first bank;
+    # a worker that outlived it would run on through the queued runs, then wait for tasks that never come
+    script = """
+import os
+from ckaf import channel
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores, so the CKLMS runs go to a pool
+run_cklms = channel._cklms_run
+
+def announced(*args):
+    os.write(1, b"%d\\n" % os.getpid())  # one write, which a pipe keeps whole beside the other worker's
+    return run_cklms(*args)
+
+channel._cklms_run = announced
+channel.run_experiment(["cklms"], channel.ChannelConfig(), n_samples=20000, runs=4)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ckaf.__file__).parents[1])}
+    # unbuffered, so that select sees every line that readline has not read; the new session is the process
+    # group of the parent and its workers, which the last step kills whatever the outcome
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], bufsize=0, stdout=subprocess.PIPE, env=env, start_new_session=True
+    )
+    try:
+        workers = set()
+        while len(workers) < 2:
+            assert select.select([proc.stdout], [], [], 60)[0], "no second worker took a run within 60 s"
+            line = proc.stdout.readline()
+            assert line, "the experiment ended before both workers took a run"
+            workers.add(int(line))
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == -signum
+        deadline = time.monotonic() + 5.0
+        while not all(map(_ended, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_ended, workers)), "a worker outlived the parent by 5 s"
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 @needs_fork

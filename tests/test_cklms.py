@@ -457,6 +457,16 @@ def test_stored_center_queried_again_kernel_at_most_one():
         assert -kernel.sigma**2 * np.log(y.real / 2.0) <= 16 * np.finfo(float).eps * np.vdot(c, c).real
 
 
+def test_exp_then_clamp_at_one_equals_exp_of_exponent_clamped_at_zero():
+    # the Gaussian row takes exp first and clamps at 1 after; that equals exp(min(x, 0)) only if exp is
+    # exactly 1 at 0 and never crosses 1 for a tiny exponent of either sign, in the SIMD body and its tail
+    rng = np.random.default_rng(26)
+    x = rng.choice([-1.0, 1.0], 1024) * 10.0 ** rng.uniform(-300, -10, 1024)
+    x[rng.choice(1024, 64, replace=False)] = 0.0
+    for row in (x, x[3:]):  # and a row of odd length that starts off the vector alignment
+        assert np.array_equal(np.minimum(np.exp(row), 1.0), np.exp(np.minimum(row, 0.0)))
+
+
 def test_infinite_mu_rejected():
     # mu = inf used to be accepted and then diverged at the first step
     with pytest.raises(ValueError, match="finite"):
