@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,11 +123,9 @@ class CklmsFilter:
         self.mu = float(mu)
         self.normalized = bool(normalized)
         self.novelty = novelty
-        self._dim: Optional[int] = None
         self._n = 0
-        # one column (||c||^2, 1, c) per embedded center c, and alpha_k as (re, im) columns
-        self._cols = np.empty((0, 0))
-        self._alpha = np.empty((2, 0))
+        # one column (||c||^2, 1, Re c, Im c, Re alpha, Im alpha) per center c; its 4 + 2*nu rows are 4 until the first
+        self._cols = np.empty((4, 0))
 
     @property
     def dictionary_size(self) -> int:
@@ -135,18 +133,19 @@ class CklmsFilter:
 
     @property
     def centers(self) -> np.ndarray:
-        cols = self._cols[2:, : self._n]
-        return (cols[: self._dim] + 1j * cols[self._dim :]).T
+        re, im = np.split(self._cols[2:-2, : self._n], 2)
+        return (re + 1j * im).T
 
     @property
     def coeffs(self) -> np.ndarray:
         """The (a, b) pairs as a_k + i b_k, with a = Re alpha + Im alpha, b = Re alpha - Im alpha."""
-        re, im = self._alpha[:, : self._n]
+        re, im = self._cols[-2:, : self._n]
         return (re + im) + 1j * (re - im)
 
     def _check_width(self, width: int) -> None:
-        if self._dim is not None and width != 2 * self._dim:
-            raise ValueError(f"input length {width // 2} does not match dictionary dimension {self._dim}")
+        rows, capacity = self._cols.shape
+        if capacity and width != rows - 4:
+            raise ValueError(f"input length {width // 2} does not match dictionary dimension {rows // 2 - 2}")
 
     def _sample(self, z) -> tuple[np.ndarray, float, np.ndarray]:
         """Validate and embed one input vector; return u, its squared norm and its lifted query."""
@@ -165,7 +164,7 @@ class CklmsFilter:
         n, top = self._n, 0.0
         if n == 0:
             return np.empty(0), 0j, top
-        k = q @ self._cols[:, :n]
+        k = q @ self._cols[:-2, :n]
         if self.kernel.kind == GAUSSIAN:
             np.exp(k, out=k)
             top = k.item(k.argmax())
@@ -173,7 +172,7 @@ class CklmsFilter:
                 np.minimum(k, 1.0, out=k)
         else:
             np.power(k, self.kernel.degree, out=k)
-        y_re, y_im = (self._alpha[:, :n] @ k).tolist()
+        y_re, y_im = (self._cols[-2:, :n] @ k).tolist()
         return k, complex(2.0 * y_re, 2.0 * y_im), top
 
     def _step(self, u: np.ndarray, u_sq: float, q: np.ndarray, d: complex) -> tuple[complex, complex, bool]:
@@ -196,17 +195,14 @@ class CklmsFilter:
         if admitted:
             gamma = 2.0 * _self_kernel(self.kernel, u_sq) if self.normalized else 1.0
             alpha = self.mu / gamma * e
-            if self._dim is None:
-                self._dim = u.size // 2
-                self._cols = np.ones((u.size + 2, 16))
-                self._alpha = np.empty((2, 16))
+            if n == 0:
+                self._cols = np.ones((u.size + 4, 16))
             elif n == self._cols.shape[1]:
                 self._cols = np.concatenate([self._cols, np.ones_like(self._cols)], axis=1)
-                self._alpha = np.concatenate([self._alpha, np.empty_like(self._alpha)], axis=1)
             # row 1 of the store is all ones from its allocation
             self._cols[0, n] = u_sq
-            self._cols[2:, n] = u
-            self._alpha[0, n], self._alpha[1, n] = alpha.real, alpha.imag
+            self._cols[2:-2, n] = u
+            self._cols[-2, n], self._cols[-1, n] = alpha.real, alpha.imag
             self._n = n + 1
         return prediction, e, admitted
 

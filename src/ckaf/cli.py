@@ -1,7 +1,8 @@
 """Command-line front end: equalization experiments and gradient checks.
 
-Exit codes are a stable contract for scripting: 0 on success, 1 when a
-check or experiment fails, 2 on argument or I/O errors.
+Exit codes are a stable contract for scripting, all set in `main`: 0 on
+success, 1 when a check or experiment fails, 2 on argument or I/O
+errors, 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -84,31 +85,24 @@ def run_equalize(args: argparse.Namespace) -> int:
     mu_map = dict(channel.DEFAULT_MU)
     if args.mu is not None:
         mu_map[args.algorithm] = args.mu
-    try:
-        config = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
-        if args.kernel == "gaussian":
-            kernel = RealKernel.gaussian(args.sigma)
-        else:
-            kernel = RealKernel.polynomial(args.degree)
-        curves = channel.run_experiment(
-            algos,
-            config,
-            L=args.filter_length,
-            D=args.delay,
-            n_samples=args.samples,
-            runs=args.runs,
-            mu=mu_map,
-            kernel=kernel,
-            novelty=NoveltyCriterion(args.novelty_d1, args.novelty_d2),
-            seed=args.seed,
-            smooth=args.smooth,
-        )
-    except ValueError as exc:
-        print(f"ckaf equalize: error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return 1
+    config = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
+    if args.kernel == "gaussian":
+        kernel = RealKernel.gaussian(args.sigma)
+    else:
+        kernel = RealKernel.polynomial(args.degree)
+    curves = channel.run_experiment(
+        algos,
+        config,
+        L=args.filter_length,
+        D=args.delay,
+        n_samples=args.samples,
+        runs=args.runs,
+        mu=mu_map,
+        kernel=kernel,
+        novelty=NoveltyCriterion(args.novelty_d1, args.novelty_d2),
+        seed=args.seed,
+        smooth=args.smooth,
+    )
     try:
         emit_csv(curves, _config_comment(args, mu_map), args.output)
     except OSError as exc:
@@ -127,12 +121,8 @@ def run_equalize(args: argparse.Namespace) -> int:
 
 
 def run_gradcheck(seed: int) -> int:
-    try:
-        report = property_suite(rng_seed=seed)
-        cost_reports = instantaneous_cost_check(rng_seed=seed)
-    except ValueError as exc:
-        print(f"ckaf gradcheck: error: {exc}", file=sys.stderr)
-        return 2
+    report = property_suite(rng_seed=seed)
+    cost_reports = instantaneous_cost_check(rng_seed=seed)
     print(f"wirtinger property suite (seed {seed}, {report.trials} trials/property, tol {report.tol:g})")
     for result in report.results:
         print(f"  {result}")
@@ -157,6 +147,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.subcommand == "gradcheck":
-        return run_gradcheck(args.seed)
-    return run_equalize(args)
+    try:
+        return run_gradcheck(args.seed) if args.subcommand == "gradcheck" else run_equalize(args)
+    except ValueError as exc:
+        print(f"ckaf {args.subcommand}: error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print(f"experiment failed: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print(f"ckaf {args.subcommand}: interrupted", file=sys.stderr)
+        return 130

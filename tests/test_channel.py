@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import process_ended
 
 import ckaf
 from ckaf.channel import (
@@ -628,15 +629,6 @@ sys.exit(cli.main(argv))
     assert not (tmp_path / "c.csv").exists()
 
 
-def _ended(pid):
-    """Whether process pid has ended: it is gone, or a zombie that its new parent has yet to reap."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
-
-
 @needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states under /proc")
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
@@ -673,9 +665,9 @@ channel.run_experiment(["cklms"], channel.ChannelConfig(), n_samples=20000, runs
         proc.send_signal(signum)
         assert proc.wait(timeout=10) == -signum
         deadline = time.monotonic() + 5.0
-        while not all(map(_ended, workers)) and time.monotonic() < deadline:
+        while not all(map(process_ended, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert all(map(_ended, workers)), "a worker outlived the parent by 5 s"
+        assert all(map(process_ended, workers)), "a worker outlived the parent by 5 s"
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -683,6 +675,60 @@ channel.run_experiment(["cklms"], channel.ChannelConfig(), n_samples=20000, runs
             pass
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states under /proc")
+def test_ctrl_c_ends_the_experiment_with_exit_130(tmp_path):
+    # SIGINT reaches the parent alone once both workers are in a run; it waits for their runs and exits 130
+    csv = tmp_path / "c.csv"
+    script = f"""
+import os, signal, sys
+from ckaf import channel, cli
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # a shell may have started the tests with SIGINT ignored
+os.sched_getaffinity = lambda pid: {{0, 1}}  # two usable cores, so the CKLMS runs go to a pool
+run_cklms = channel._cklms_run
+
+def announced(*args):
+    os.write(1, b"%d\\n" % os.getpid())  # one write, which a pipe keeps whole beside the other worker's
+    return run_cklms(*args)
+
+channel._cklms_run = announced
+sys.exit(cli.main(["equalize", "--algorithm", "cklms", "--runs", "4", "--samples", "5000", "--output", {str(csv)!r}]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ckaf.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        bufsize=0,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        workers = set()
+        while len(workers) < 2:
+            assert select.select([proc.stdout], [], [], 60)[0], "no second worker took a run within 60 s"
+            line = proc.stdout.readline()
+            assert line, "the experiment ended before both workers took a run"
+            workers.add(int(line))
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 130
+        assert proc.stderr.read() == b"ckaf equalize: interrupted\n"
+        assert not csv.exists()
+        deadline = time.monotonic() + 5.0
+        while not all(map(process_ended, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(process_ended, workers)), "a worker outlived the interrupted command by 5 s"
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 @needs_fork

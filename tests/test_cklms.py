@@ -62,6 +62,12 @@ class TestPredict:
         assert f.predict([1 + 1j, 2j]) == 0j
         assert f.dictionary_size == 0
 
+    def test_new_filter_has_no_centers_or_coefficients(self):
+        f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
+        assert f.dictionary_size == 0
+        assert f.centers.shape == (0, 0) and f.centers.dtype == complex
+        assert f.coeffs.shape == (0,) and f.coeffs.dtype == complex
+
     def test_single_entry_at_its_own_center(self):
         # gaussian kappa(z, z) = 1, so output = (a+b) + i(a-b)
         f = CklmsFilter(RealKernel.gaussian(2.0), mu=0.5, normalized=True)

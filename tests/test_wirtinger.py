@@ -84,6 +84,13 @@ def test_check_gradient_detects_wrong_derivative():
     assert report.error == pytest.approx(1.0, abs=1e-3)
 
 
+def test_derivative_error_scales_each_coordinate_by_its_own_expected_value():
+    # a 1% error in a small coordinate shows beside an exact large one, whose scale would read it as 1e-5
+    assert ckaf.wirtinger._error(np.array([1000, 1.01]), np.array([1000, 1.0])) == pytest.approx(0.01)
+    # an expected zero is judged absolutely
+    assert ckaf.wirtinger._error(np.array([3e-7j]), np.zeros(1)) == pytest.approx(3e-7)
+
+
 def test_check_gradient_rejects_infinite_tolerance():
     # tol = inf would pass any pair, here d_z = 5 and d_z* = 7 for T(w) = w
     wrong = lambda w: WirtingerPair(d_z=np.full_like(w, 5), d_zstar=np.full_like(w, 7))
