@@ -98,8 +98,7 @@ def generate_source(n_samples: int, rho: float, amplitude: float = ChannelConfig
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_samples)
-    y = rng.standard_normal(n_samples)
+    x, y = rng.standard_normal((2, n_samples))  # one draw: the same numbers as two of n_samples
     return amplitude * (math.sqrt(1.0 - rho * rho) * x + 1j * rho * y)
 
 
@@ -199,8 +198,7 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
     if window <= 1:
         return x
     c = np.cumsum(np.concatenate([[0.0], x]))
-    n = x.size
-    idx = np.arange(1, n + 1)
+    idx = np.arange(1, x.size + 1)
     lo = np.maximum(idx - window, 0)
     return (c[idx] - c[lo]) / (idx - lo)
 
@@ -241,8 +239,7 @@ def run_experiment(
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     if not (isinstance(smooth, (int, np.integer)) and smooth >= 1):
         raise ValueError(f"smooth must be an integer >= 1, got {smooth!r}")
-    steps = dict(DEFAULT_MU)
-    steps.update(mu or {})
+    steps = {**DEFAULT_MU, **(mu or {})}
     unknown = [a for a in [*algorithms, *steps] if a not in ALGORITHMS]
     # a repeated name would add its squared errors into one curve once per occurrence
     if not algorithms or unknown or len(set(algorithms)) != len(algorithms):

@@ -64,20 +64,33 @@ def _config_comment(args: argparse.Namespace, mu_map: dict) -> str:
 
 
 def emit_csv(curves: dict, comment: str, path) -> None:
-    """Write learning curves: header line, config comment, then one row
-    per (iteration, algorithm) with the algorithms interleaved per n."""
+    """Write learning curves: header line, config comment, then one row per (iteration, algorithm) with the
+    algorithms interleaved per n. A regular or new file is written beside itself and renamed into place, so an
+    error or Ctrl-C leaves the old file or the whole new one; a symlink (/dev/stdout) or FIFO is written in place."""
+    import os
+
     names = [a for a in channel.ALGORITHMS if a in curves]
     if not names or len(names) != len(curves):
         raise ValueError(f"expected curves named among {channel.ALGORITHMS}, got {sorted(curves)}")
     length = len(curves[names[0]].mse)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write(comment + "\n")
-        # an item of a memoryview is a Python float, which formats as a numpy scalar does at a fraction of the cost
-        columns = [(a, *map(memoryview, (curves[a].mse, curves[a].mse_db, curves[a].dict_size))) for a in names]
-        for n in range(length):
-            for name, mse, mse_db, size in columns:
-                fh.write(f"{n},{name},{mse[n]:.12e},{mse_db[n]:.12e},{size[n]:.12g}\n")
+    replace = not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path))
+    tmp = f"{path}.{os.getpid()}.tmp" if replace else path
+    fh = open(tmp, "x" if replace else "w", encoding="utf-8", newline="\n")  # a new file takes the umask's mode
+    try:
+        with fh:
+            fh.write(CSV_HEADER + "\n")
+            fh.write(comment + "\n")
+            # an item of a memoryview is a Python float, which formats as a numpy scalar does at a fraction of the cost
+            columns = [(a, *map(memoryview, (curves[a].mse, curves[a].mse_db, curves[a].dict_size))) for a in names]
+            for n in range(length):
+                for name, mse, mse_db, size in columns:
+                    fh.write(f"{n},{name},{mse[n]:.12e},{mse_db[n]:.12e},{size[n]:.12g}\n")
+        if replace:
+            os.replace(tmp, path)
+    except BaseException:
+        if replace:
+            os.remove(tmp)
+        raise
 
 
 def run_equalize(args: argparse.Namespace) -> int:
@@ -86,10 +99,7 @@ def run_equalize(args: argparse.Namespace) -> int:
     if args.mu is not None:
         mu_map[args.algorithm] = args.mu
     config = channel.ChannelConfig(snr_db=args.snr_db, rho=args.rho)
-    if args.kernel == "gaussian":
-        kernel = RealKernel.gaussian(args.sigma)
-    else:
-        kernel = RealKernel.polynomial(args.degree)
+    kernel = RealKernel.gaussian(args.sigma) if args.kernel == "gaussian" else RealKernel.polynomial(args.degree)
     curves = channel.run_experiment(
         algos,
         config,
@@ -112,9 +122,7 @@ def run_equalize(args: argparse.Namespace) -> int:
         tail = curves[name].mse[-min(500, len(curves[name].mse)) :]
         mean_tail = float(tail.mean())
         db = 10.0 * math.log10(mean_tail) if mean_tail > 0 else float("-inf")
-        extra = ""
-        if name == "cklms":
-            extra = f"  final dictionary {curves[name].dict_size[-1]:.1f}"
+        extra = f"  final dictionary {curves[name].dict_size[-1]:.1f}" if name == "cklms" else ""
         print(f"{name:<9s} steady-state mse {mean_tail:.6e} ({db:+.2f} dB){extra}")
     print(f"wrote {args.output}")
     return 0
@@ -130,10 +138,9 @@ def run_gradcheck(seed: int) -> int:
             print(f"       witness point: {result.witness}")
     worst = max(r.error for r in cost_reports)
     cost_ok = all(r.passed for r in cost_reports)
-    status = "PASS" if cost_ok else "FAIL"
     print(
-        f"kernel-cost gradient vs finite differences "
-        f"({len(cost_reports)} trials, tol {cost_reports[0].tol:g})  max err {worst:.3e}  {status}"
+        f"kernel-cost gradient vs finite differences ({len(cost_reports)} trials, tol {cost_reports[0].tol:g})"
+        f"  max err {worst:.3e}  {'PASS' if cost_ok else 'FAIL'}"
     )
     if report.all_passed and cost_ok:
         print("all checks passed")

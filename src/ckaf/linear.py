@@ -59,19 +59,20 @@ class ComplexNlms:
         """Weights of x* (a view), or None when the filter is strictly linear."""
         return self._w[self.n_taps :] if self.widely_linear else None
 
-    def _step(self, w: np.ndarray, x: np.ndarray, gain, d) -> tuple[np.ndarray, np.ndarray]:
-        """The normalized-LMS step of R filters on R input rows (unit stride), with gains mu / (power + _EPS):
-        the outputs h^H x (+ g^H x*) and errors, both pre-update."""
-        y = np.vecdot(w[:, : self.n_taps], x)
-        if self.widely_linear:
+    def _step(self, h: np.ndarray, g: Optional[np.ndarray], x: np.ndarray, gain, d, e: np.ndarray) -> np.ndarray:
+        """The normalized-LMS step of weight views h and g (None if strictly linear) on input rows x (unit stride),
+        gains mu / (power + _EPS): writes the errors into e, returns the outputs h^H x (+ g^H x*), both pre-update."""
+        y = np.vecdot(h, x)
+        if g is not None:
+            xc = x.conj()
             # h^H x and g^H x* are summed apart, so that g = 0 leaves h^H x exact
-            y += np.vecdot(w[:, self.n_taps :], x.conj())
-        e = d - y
-        c = (gain * e.conj())[:, np.newaxis]
-        w[:, : self.n_taps] += c * x
-        if self.widely_linear:
-            w[:, self.n_taps :] += c * x.conj()
-        return y, e
+            y += np.vecdot(g, xc)
+        np.subtract(d, y, out=e)
+        c = (gain * e.conj())[..., np.newaxis]
+        h += c * x
+        if g is not None:
+            g += c * xc
+        return y
 
     def update(self, x, d: complex) -> tuple[complex, complex]:
         """One normalized-LMS step; returns (prediction, error), both pre-update."""
@@ -86,8 +87,8 @@ class ComplexNlms:
         if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; update rejected")
         gain = self.mu / ((2.0 * power if self.widely_linear else power) + _EPS)
-        y, e = self._step(self._w[np.newaxis], x[np.newaxis], gain, d)
-        return complex(y[0]), complex(e[0])
+        e = np.empty((), dtype=complex)
+        return complex(self._step(self.h, self.g, x, gain, d, e)), complex(e)
 
     def run(self, inputs, targets) -> np.ndarray:
         """Update through an (N, n_taps) stream with N targets; return the N pre-update errors.
@@ -119,9 +120,10 @@ class ComplexNlms:
         np.multiply(powers, 2.0 if self.widely_linear else 1.0, out=powers)  # in place, as a stack's gains are large
         gains = np.divide(self.mu, np.add(powers, _EPS, out=powers), out=powers)
         errors = np.empty(targets.shape[::-1], dtype=complex)
+        h, g = w[:, : self.n_taps], w[:, self.n_taps :] if self.widely_linear else None
         with np.errstate(all="ignore"):  # a diverged stream keeps stepping beside the others
-            for i, (x_i, gain, d) in enumerate(zip(x.swapaxes(0, 1), gains.T, targets.T)):
-                e = errors[i] = self._step(w, x_i, gain, d)[1]
+            for i, (x_i, gain, d, e) in enumerate(zip(x.swapaxes(0, 1), gains.T, targets.T, errors)):
+                self._step(h, g, x_i, gain, d, e)
                 # a finite sum of squared errors cheaply proves that one of them is finite
                 if not cmath.isfinite(np.vdot(e, e)) and not np.isfinite(e.real * e.real + e.imag * e.imag).any():
                     errors = errors[: i + 1]

@@ -44,21 +44,22 @@ def numeric_wirtinger(f: ScalarField, w, h: float = 1e-5) -> WirtingerPair:
     """Central-difference Wirtinger derivatives of f at w.
 
     f maps a complex vector to a complex scalar and must be finite on
-    the +-h neighborhood of every real coordinate of w. Error is O(h^2)
-    for thrice-differentiable fields.
+    the +-h neighborhood of every real coordinate of w. It is handed one
+    probe array, moved in place between calls, which it must not change
+    and must copy to keep. Error is O(h^2) for thrice-differentiable fields.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     t = np.empty((2, w.size), dtype=complex)  # central differences: T_x in row 0, T_y in row 1
-    for j in range(w.size):
+    p = w.copy()  # the probe: w with coordinate j moved, restored after each pair
+    for j, wj in enumerate(w):
         for k, (part, delta) in enumerate((("real", h), ("imaginary", 1j * h))):
-            wp = w.copy()
-            wp[j] += delta
-            fp = complex(f(wp))
-            wm = w.copy()
-            wm[j] -= delta
-            fm = complex(f(wm))
+            p[j] = wj + delta
+            fp = complex(f(p))
+            p[j] = wj - delta
+            fm = complex(f(p))
+            p[j] = wj
             if not (cmath.isfinite(fp) and cmath.isfinite(fm)):
                 raise ValueError(f"non-finite field value probing the {part} part of coordinate {j}")
             t[k, j] = (fp - fm) / (2.0 * h)
@@ -136,11 +137,13 @@ class SuiteReport:
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.sum(a * np.conj(b)))
+    return complex(np.vdot(b, a))  # vdot conjugates its first argument
 
 
 def _rand_cvec(rng: np.random.Generator, m: int, scale: float = 0.5) -> np.ndarray:
-    return scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    # one draw of 2m normals: the same numbers, in the same order, as a draw of m real parts then m imaginary
+    x = rng.standard_normal(2 * m)
+    return scale * (x[:m] + 1j * x[m:])
 
 
 class _Quadratic:
@@ -148,30 +151,25 @@ class _Quadratic:
 
     Setting blocks to zero yields holomorphic (b = B = C = 0) or
     anti-holomorphic (a = A = C = 0) special cases with known analytic
-    derivative pairs.
+    derivative pairs. With v = [w, w*] the field is c0 + l.v + v.(M v),
+    where l = [a, b] and M = [[A, 0], [C, B]]; a to C are views into l and M.
     """
 
     def __init__(self, rng: np.random.Generator, m: int, holomorphic=False, antiholomorphic=False):
-        def draw(n, zero):
-            return np.zeros(n, dtype=complex) if zero else _rand_cvec(rng, n)
-
         self.c0 = _rand_cvec(rng, 1)[0]
-        self.a = draw(m, antiholomorphic)
-        self.b = draw(m, holomorphic)
-        self.A = draw(m * m, antiholomorphic).reshape(m, m)
-        self.B = draw(m * m, holomorphic).reshape(m, m)
-        self.C = draw(m * m, holomorphic or antiholomorphic).reshape(m, m)
+        self.l = np.zeros(2 * m, dtype=complex)
+        self.M = np.zeros((2 * m, 2 * m), dtype=complex)
+        self.a, self.b = self.l[:m], self.l[m:]
+        self.A, self.B, self.C = self.M[:m, :m], self.M[m:, m:], self.M[m:, :m]
+        # drawn in this order, row by row; a zero block takes no draw
+        zeros = (antiholomorphic, holomorphic, antiholomorphic, holomorphic, holomorphic or antiholomorphic)
+        for block, zero in zip((self.a, self.b, self.A, self.B, self.C), zeros):
+            if not zero:
+                block[...] = _rand_cvec(rng, block.size).reshape(block.shape)
 
     def __call__(self, w: np.ndarray) -> complex:
-        wc = np.conj(w)
-        return complex(
-            self.c0
-            + self.a @ w
-            + self.b @ wc
-            + w @ self.A @ w
-            + wc @ self.B @ wc
-            + wc @ self.C @ w
-        )
+        v = np.concatenate((w, w.conj()))
+        return complex(self.c0 + v @ (self.M @ v + self.l))  # l.v + v.(M v), as v.l = l.v
 
     def d_z(self, w: np.ndarray) -> np.ndarray:
         return self.a + (self.A + self.A.T) @ w + self.C.T @ np.conj(w)

@@ -136,6 +136,45 @@ class TestEmitCsv:
                 cli.emit_csv(curves, "# c", path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+    def test_a_failed_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old curves\n")
+        curves = _tiny_curves(["nclms"], n_samples=2000)
+        true_memoryview = memoryview
+
+        class FailingColumn:
+            """A column whose row 1500 raises, once some 100 kB of rows are written."""
+
+            def __init__(self, column):
+                self.column = true_memoryview(column)
+
+            def __getitem__(self, n):
+                if n == 1500:
+                    raise error("mid-write")
+                return self.column[n]
+
+        monkeypatch.setattr(cli, "memoryview", FailingColumn, raising=False)
+        with pytest.raises(error, match="mid-write"):
+            cli.emit_csv(curves, "# c", path)
+        assert path.read_bytes() == b"old curves\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+        monkeypatch.undo()
+        cli.emit_csv(curves, "# c", path)
+        assert path.read_text().splitlines()[:2] == [cli.CSV_HEADER, "# c"]
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_new_file_takes_the_mode_of_a_plain_open(self, tmp_path):
+        curves = _tiny_curves(["nclms"], n_samples=5)
+        old_umask = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            cli.emit_csv(curves, "# c", tmp_path / "out.csv")
+        finally:
+            os.umask(old_umask)
+        assert os.stat(tmp_path / "out.csv").st_mode == os.stat(tmp_path / "plain").st_mode
+
     def test_roundtrip_at_printed_precision(self, tmp_path):
         curves = _tiny_curves(["nclms"], n_samples=40)
         path = tmp_path / "out.csv"
@@ -307,6 +346,35 @@ class TestMain:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("ckaf gradcheck: error: ")
+
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    def test_output_to_dev_stdout_prints_the_csv(self, tmp_path, stdout):
+        """A symlink to this process's stdout is written in place, whether stdout is a pipe or a file opened
+        for append (as `>>` opens it), so the summary lines follow the CSV; renaming a file over the
+        symlink would leave them in no file. The file case reaches stdout through a symlink of its own,
+        so that a regression replaces that link, not /dev/stdout."""
+        if stdout == "pipe":
+            output = "/dev/stdout"
+        else:
+            if not os.path.exists("/proc/self/fd/1"):
+                pytest.skip("no /proc/self/fd")
+            output = tmp_path / "stdout"
+            output.symlink_to("/proc/self/fd/1")
+        env = {**os.environ, "PYTHONPATH": str(Path(ckaf.__file__).parents[1])}
+        argv = [sys.executable, "-m", "ckaf", "equalize", "--runs", "1", "--samples", "30", "--output", str(output)]
+        if stdout == "pipe":
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            out = proc.stdout
+        else:
+            with open(tmp_path / "out.txt", "a") as fh:
+                proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, text=True, env=env)
+            out = (tmp_path / "out.txt").read_text()
+            assert output.is_symlink()
+        assert proc.returncode == 0, proc.stderr
+        lines = out.splitlines()
+        assert lines[0] == cli.CSV_HEADER
+        assert len(lines) == 2 + 3 * 28 + 4  # the rows of 28 steps, 3 summary lines and "wrote ..."
+        assert lines[-1] == f"wrote {output}"
 
     def test_gradcheck_detects_injected_sign_error(self, monkeypatch, capsys):
         true_numeric = ckaf.wirtinger.numeric_wirtinger

@@ -102,20 +102,64 @@ def test_probe_evaluates_the_field_4m_times_in_order():
     """re+h, re-h, im+h, im-h for each coordinate; check_gradient repeats
     that once per step of its ladder."""
     w0 = np.array([0.3 + 0.7j, -0.2 + 0.1j, 0.5 - 0.4j])
-    probes = []
+    probes, points = [], []
 
     def field(w):
         (j,) = np.flatnonzero(w != w0)
         d = w[j] - w0[j]
         probes.append((int(j), "im" if d.real == 0 else "re", "+" if d.real + d.imag > 0 else "-"))
+        points.append(w.copy())  # the probe array is reused between calls
         return complex(np.sum(w))
 
     expected = [(j, part, sign) for j in range(w0.size) for part in ("re", "im") for sign in "+-"]
     numeric_wirtinger(field, w0, 1e-3)
     assert probes == expected  # 4m evaluations
+    # each probe is w0 with exactly one coordinate moved by +-h or +-ih, to the bit
+    for point, (j, part, sign) in zip(points, expected):
+        moved = w0.copy()
+        delta = 1e-3 if part == "re" else 1e-3j
+        moved[j] = w0[j] + delta if sign == "+" else w0[j] - delta
+        assert (point == moved).all()
+    assert (w0 == np.array([0.3 + 0.7j, -0.2 + 0.1j, 0.5 - 0.4j])).all()  # the caller's point is left as it was
     probes.clear()
     check_gradient(field, lambda w: WirtingerPair(np.ones_like(w), np.zeros_like(w)), w0, tol=1e-6)
     assert probes == expected * 3  # 12m: one set per step of STEP_LADDER
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 16])
+def test_random_vector_takes_the_draws_of_separate_real_and_imaginary_parts(m):
+    # one draw of 2m normals gives the numbers of a draw of m real parts, then m imaginary ones
+    g, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for scale in (0.5, 1.0, 0.7):
+        got = ckaf.wirtinger._rand_cvec(g, m, scale)
+        expected = scale * (twin.standard_normal(m) + 1j * twin.standard_normal(m))
+        assert got.tobytes() == expected.tobytes()
+    assert g.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["generic", "holomorphic", "antiholomorphic"])
+def test_quadratic_field_equals_its_six_term_sum(kind):
+    """The matrix form c0 + l.v + v.(M v), v = [w, w*], is the field its docstring names."""
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3, 4):
+        t = ckaf.wirtinger._Quadratic(rng, m, kind == "holomorphic", kind == "antiholomorphic")
+        for _ in range(10):
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            wc = np.conj(w)
+            six = t.c0 + t.a @ w + t.b @ wc + w @ t.A @ w + wc @ t.B @ wc + wc @ t.C @ w
+            assert t(w) == pytest.approx(complex(six), rel=1e-13)
+        # the blocks a field of this kind must not have are zero
+        zero = {"generic": [], "holomorphic": [t.b, t.B, t.C], "antiholomorphic": [t.a, t.A, t.C]}[kind]
+        assert all(not block.any() for block in zero)
+
+
+def test_inner_product_is_linear_in_its_first_argument():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 5):
+        a, b = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(2))
+        assert ckaf.wirtinger._inner(a, b) == pytest.approx(sum(x * y.conjugate() for x, y in zip(a, b)), rel=1e-13)
+    assert ckaf.wirtinger._inner(np.array([1j]), np.array([1j])) == 1
+    assert ckaf.wirtinger._inner(np.array([1j]), np.array([1.0])) == 1j
 
 
 @pytest.mark.parametrize("part", ["real", "imaginary"])
