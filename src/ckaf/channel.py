@@ -28,10 +28,9 @@ from .linear import ComplexNlms
 # the pool's workers take their CKLMS runs, one run per task
 _BANK = 10
 
-ALGORITHMS = ("cklms", "nclms", "wl-nclms")
-
 DEFAULT_RHO = math.sqrt(2.0) / 2.0
 DEFAULT_MU = {"cklms": 0.5, "nclms": 1.0 / 16.0, "wl-nclms": 1.0 / 16.0}
+ALGORITHMS = tuple(DEFAULT_MU)
 DEFAULT_SIGMA = 5.0
 DEFAULT_NOVELTY = NoveltyCriterion(delta1=0.15, delta2=0.2)
 
@@ -155,12 +154,20 @@ def _draw(cfg: ChannelConfig, n_samples: int, L: int, D: int, seed: int, runs) -
     return build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, pairs)], s, L, D)
 
 
+def _squared(e: np.ndarray) -> np.ndarray:
+    """|e|^2 in one new array, with the imaginary parts of e overwritten on the way; an overflow reads inf."""
+    with np.errstate(over="ignore"):
+        sq = e.real * e.real
+        sq += np.multiply(e.imag, e.imag, out=e.imag)
+    return sq
+
+
 def _cklms_run(cfg, n_samples, L, D, mu, kernel, novelty, seed, run):
-    """Errors and admission mask of a CKLMS filter on the stream it draws for run `run` of `seed`:
-    a task of picklable arguments, which needs nothing from the process that sent it."""
+    """Squared errors and cumulative dictionary sizes of a CKLMS filter on the stream it draws for run `run`
+    of `seed`: a task of picklable arguments, which needs nothing from the process that sent it."""
     dataset = _draw(cfg, n_samples, L, D, seed, [run])
-    result = CklmsFilter(kernel, mu, True, novelty).run(dataset.inputs[0], dataset.targets[0])
-    return result.errors, result.admitted
+    errors, admitted = CklmsFilter(kernel, mu, True, novelty).run(dataset.inputs[0], dataset.targets[0])
+    return _squared(errors), np.cumsum(admitted, dtype=float)
 
 
 def _pool(streams: int):
@@ -232,8 +239,11 @@ def run_experiment(
     usable core, run a bank's CKLMS tasks while this process steps its
     linear filters, one bank queued at a time; the curves are the same
     bytes for any core count, and `taskset -c 0` keeps the runs in this
-    process. Leaving, on an error or Ctrl-C too, cancels the runs no
-    worker has taken yet; a killed worker raises RuntimeError.
+    process. The bank is then summed run by run, each run's algorithms
+    in the requested order; the first non-finite squared error raises
+    RuntimeError, so a divergence names the lowest run, then the first
+    requested algorithm. Leaving, on an error or Ctrl-C too, cancels the
+    runs no worker has taken yet; a killed worker raises RuntimeError.
     """
     if not (isinstance(runs, (int, np.integer)) and runs >= 1):
         raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
@@ -249,6 +259,7 @@ def run_experiment(
         )
 
     cklms = functools.partial(_cklms_run, cfg, n_samples, L, D, steps["cklms"], kernel, novelty, seed)
+    linear = {a: ComplexNlms(L + 1, steps[a], widely_linear=a == "wl-nclms") for a in algorithms if a != "cklms"}
     pool = _pool(min(runs, _BANK)) if "cklms" in algorithms else None
     sum_err = dict.fromkeys(algorithms, 0.0)
     sum_size = dict.fromkeys(algorithms, 0.0)
@@ -256,31 +267,20 @@ def run_experiment(
         for first in range(0, runs, _BANK):
             bank = range(runs)[first : first + _BANK]
             # queued one bank at a time, before the linear filters step, so the workers run them meanwhile
-            tasks = (pool.map if pool else map)(cklms, bank)
-            dataset = _draw(cfg, n_samples, L, D, seed, bank) if set(algorithms) - {"cklms"} else None
-            failures = []
-            # the CKLMS results are taken last; a failure keeps its algorithm's requested order
-            for order, name in sorted(enumerate(algorithms), key=lambda item: item[1] == "cklms"):
-                if name == "cklms":
-                    streams = ((e, np.cumsum(a, dtype=float)) for e, a in tasks)
-                else:
-                    linear = ComplexNlms(L + 1, steps[name], widely_linear=name == "wl-nclms")
-                    streams = ((e, 0.0) for e in linear.run(dataset.inputs, dataset.targets))
-                for j, (e, sizes) in enumerate(streams):
-                    # rebinding e to its square drops the row view that would keep a bank of linear errors alive
-                    with np.errstate(over="ignore"):
-                        e = e.real * e.real + e.imag * e.imag
+            streams = {"cklms": (pool.map if pool else map)(cklms, bank)}
+            dataset = _draw(cfg, n_samples, L, D, seed, bank) if linear else None
+            for name, nlms in linear.items():  # a bank steps copies of the filter's zero weights
+                streams[name] = zip(_squared(nlms.run(dataset.inputs, dataset.targets)), [0.0] * len(bank))
+            dataset = None  # freed before a CKLMS run of this bank takes place in this process
+            for run in bank:
+                for name in algorithms:
+                    e, sizes = next(streams[name])
                     finite = np.isfinite(e)
                     if not finite.all():
-                        failures.append((first + j, order, name, finite.argmin()))
-                        break
+                        raise RuntimeError(f"{name} diverged: non-finite error at step {finite.argmin()} of run {run}")
                     sum_err[name] += e
                     sum_size[name] += sizes
-            # the lowest run fails first, and within it the first algorithm, as when runs go one by one
-            if failures:
-                run, _, name, step = min(failures)
-                raise RuntimeError(f"{name} diverged: non-finite error at step {step} of run {run}")
-            del dataset  # free this bank before the next one is drawn
+            del streams, e, sizes, finite  # free this bank before the next one is drawn
     finally:
         if pool:  # runs not yet handed to a worker are cancelled; the running ones finish
             pool.shutdown(cancel_futures=True)

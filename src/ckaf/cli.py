@@ -66,16 +66,23 @@ def _config_comment(args: argparse.Namespace, mu_map: dict) -> str:
 def emit_csv(curves: dict, comment: str, path) -> None:
     """Write learning curves: header line, config comment, then one row per (iteration, algorithm) with the
     algorithms interleaved per n. A regular or new file is written beside itself and renamed into place, so an
-    error or Ctrl-C leaves the old file or the whole new one; a symlink (/dev/stdout) or FIFO is written in place."""
+    error or Ctrl-C leaves the old file or the whole new one; a symlink or FIFO is written in place; stdout via fd 1."""
     import os
 
     names = [a for a in channel.ALGORITHMS if a in curves]
     if not names or len(names) != len(curves):
         raise ValueError(f"expected curves named among {channel.ALGORITHMS}, got {sorted(curves)}")
     length = len(curves[names[0]].mse)
-    replace = not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path))
+    try:  # this process's stdout, by any name, is written through fd 1 after what was printed to it
+        stdout = os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such file yet, or no stdout
+        stdout = False
+    replace = not stdout and not os.path.islink(path) and (os.path.isfile(path) or not os.path.exists(path))
     tmp = f"{path}.{os.getpid()}.tmp" if replace else path
-    fh = open(tmp, "x" if replace else "w", encoding="utf-8", newline="\n")  # a new file takes the umask's mode
+    if stdout:
+        sys.stdout.flush()
+    # a new file takes the umask's mode
+    fh = open(1 if stdout else tmp, "x" if replace else "w", encoding="utf-8", newline="\n", closefd=not stdout)
     try:
         with fh:
             fh.write(CSV_HEADER + "\n")

@@ -17,9 +17,8 @@ CKLMS gradient -e* Phi(z) (instantaneous_cost_check).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,8 +31,7 @@ ScalarField = Callable[[np.ndarray], complex]
 STEP_LADDER = (1e-4, 1e-5, 1e-6)
 
 
-@dataclass(frozen=True)
-class WirtingerPair:
+class WirtingerPair(NamedTuple):
     """The derivative pair (dT/dz, dT/dz*) at a point, one entry per coordinate."""
 
     d_z: np.ndarray
@@ -66,8 +64,7 @@ def numeric_wirtinger(f: ScalarField, w, h: float = 1e-5) -> WirtingerPair:
     return WirtingerPair(d_z=0.5 * (t[0] - 1j * t[1]), d_zstar=0.5 * (t[0] + 1j * t[1]))
 
 
-@dataclass
-class GradientCheckReport:
+class GradientCheckReport(NamedTuple):
     """Comparison of an analytic derivative pair against finite differences."""
 
     passed: bool
@@ -111,8 +108,7 @@ def check_gradient(
 _SUITE_STEP = 1e-5
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(NamedTuple):
     number: int
     name: str
     trials: int
@@ -125,11 +121,10 @@ class PropertyResult:
         return f"[{self.number:2d}] {self.name:<55s} max err {self.max_error:.3e}  {status}"
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     trials: int
     tol: float
-    results: list[PropertyResult] = field(default_factory=list)
+    results: list[PropertyResult]
 
     @property
     def all_passed(self) -> bool:
@@ -195,7 +190,7 @@ def property_suite(rng_seed: int = 0, trials: int = 100, tol: float = 1e-6, max_
     if not (isinstance(max_dim, (int, np.integer)) and max_dim >= 1):
         raise ValueError(f"max_dim must be an integer >= 1, got {max_dim!r}")
     rng = np.random.default_rng(rng_seed)
-    report = SuiteReport(trials=trials, tol=tol)
+    results = []
 
     checks = [
         (1, "holomorphic field: conjugate derivative vanishes", partial(_prop_vanishing, holomorphic=True)),
@@ -221,8 +216,8 @@ def property_suite(rng_seed: int = 0, trials: int = 100, tol: float = 1e-6, max_
                 worst = err
                 witness = w
         passed = worst < tol
-        report.results.append(PropertyResult(number, name, trials, worst, passed, None if passed else witness))
-    return report
+        results.append(PropertyResult(number, name, trials, worst, passed, None if passed else witness))
+    return SuiteReport(trials, tol, results)
 
 
 def _prop_vanishing(rng, m, w, holomorphic):

@@ -14,7 +14,7 @@ import pytest
 import ckaf
 import ckaf.wirtinger
 from ckaf import cli
-from ckaf.channel import DEFAULT_MU, DEFAULT_NOVELTY, DEFAULT_SIGMA, ChannelConfig, run_experiment
+from ckaf.channel import ALGORITHMS, DEFAULT_MU, DEFAULT_NOVELTY, DEFAULT_SIGMA, ChannelConfig, run_experiment
 from ckaf.wirtinger import WirtingerPair
 
 
@@ -347,34 +347,58 @@ class TestMain:
         assert proc.returncode == 2
         assert proc.stderr.startswith("ckaf gradcheck: error: ")
 
-    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    @pytest.mark.parametrize("stdout", ["pipe", "file", "/dev/stdout > file", "file > file"])
     def test_output_to_dev_stdout_prints_the_csv(self, tmp_path, stdout):
         """A symlink to this process's stdout is written in place, whether stdout is a pipe or a file opened
         for append (as `>>` opens it), so the summary lines follow the CSV; renaming a file over the
         symlink would leave them in no file. The file case reaches stdout through a symlink of its own,
-        so that a regression replaces that link, not /dev/stdout."""
-        if stdout == "pipe":
-            output = "/dev/stdout"
-        else:
+        so that a regression replaces that link, not /dev/stdout. Stdout redirected to a file opened for
+        writing (as `>` opens it) takes the CSV and then the summary, whether --output names it as
+        /dev/stdout, which a fresh open would truncate, or by its own path, which a rename would orphan."""
+        out_txt = tmp_path / "out.txt"
+        if stdout == "file":
             if not os.path.exists("/proc/self/fd/1"):
                 pytest.skip("no /proc/self/fd")
             output = tmp_path / "stdout"
             output.symlink_to("/proc/self/fd/1")
+        else:
+            output = out_txt if stdout == "file > file" else "/dev/stdout"
         env = {**os.environ, "PYTHONPATH": str(Path(ckaf.__file__).parents[1])}
         argv = [sys.executable, "-m", "ckaf", "equalize", "--runs", "1", "--samples", "30", "--output", str(output)]
         if stdout == "pipe":
             proc = subprocess.run(argv, capture_output=True, text=True, env=env)
             out = proc.stdout
         else:
-            with open(tmp_path / "out.txt", "a") as fh:
+            with open(out_txt, "a" if stdout == "file" else "w") as fh:
                 proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, text=True, env=env)
-            out = (tmp_path / "out.txt").read_text()
-            assert output.is_symlink()
+            out = out_txt.read_text()
+            assert stdout != "file" or output.is_symlink()
         assert proc.returncode == 0, proc.stderr
         lines = out.splitlines()
         assert lines[0] == cli.CSV_HEADER
         assert len(lines) == 2 + 3 * 28 + 4  # the rows of 28 steps, 3 summary lines and "wrote ..."
         assert lines[-1] == f"wrote {output}"
+
+    def test_summary_figures_agree_with_the_csv(self, tmp_path, capsys):
+        """Each printed steady-state mse is the mean of the last 500 mse rows of its algorithm, its dB figure
+        is 10 log10 of that mean, and CKLMS's final dictionary is its last dict_size row."""
+        out = tmp_path / "curves.csv"
+        assert cli.main(["equalize", "--runs", "2", "--samples", "1200", "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[2:]]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(ALGORITHMS) + 1
+        for name, line in zip(ALGORITHMS, printed):
+            match = re.fullmatch(
+                rf"{re.escape(name)} +steady-state mse (\S+) \((\S+) dB\)(?:  final dictionary (\S+))?", line
+            )
+            assert match, line
+            mse = [float(r[2]) for r in rows if r[1] == name]
+            assert len(mse) == 1198
+            tail = math.fsum(mse[-500:]) / 500
+            assert float(match[1]) == pytest.approx(tail, rel=1e-6)
+            assert abs(float(match[2]) - 10.0 * math.log10(tail)) <= 0.005
+            size = [r[4] for r in rows if r[1] == name][-1]
+            assert match[3] == (None if name != "cklms" else f"{float(size):.1f}")
 
     def test_gradcheck_detects_injected_sign_error(self, monkeypatch, capsys):
         true_numeric = ckaf.wirtinger.numeric_wirtinger
