@@ -22,9 +22,9 @@ import numpy as np
 
 from .cklms import CklmsFilter, NoveltyCriterion
 from .kernels import RealKernel
-from .linear import ComplexNlms
+from .linear import ComplexNlms, run_bank
 
-# runs drawn and held at once, so memory stays bounded: a linear filter steps them together, and
+# runs drawn and held at once, so memory stays bounded: the linear filters step them together, and
 # the pool's workers take their CKLMS runs, one run per task
 _BANK = 10
 
@@ -154,10 +154,10 @@ def _draw(cfg: ChannelConfig, n_samples: int, L: int, D: int, seed: int, runs) -
     return build_dataset([run_channel(cfg, s_j, seed=noise) for s_j, (_, noise) in zip(s, pairs)], s, L, D)
 
 
-def _squared(e: np.ndarray) -> np.ndarray:
-    """|e|^2 in one new array, with the imaginary parts of e overwritten on the way; an overflow reads inf."""
+def _squared(e: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|e|^2 in out or one new array, with the imaginary parts of e overwritten on the way; an overflow reads inf."""
     with np.errstate(over="ignore"):
-        sq = e.real * e.real
+        sq = np.multiply(e.real, e.real, out=out)
         sq += np.multiply(e.imag, e.imag, out=e.imag)
     return sq
 
@@ -233,11 +233,12 @@ def run_experiment(
     dictionary sizes) are averaged pointwise across runs. `smooth` >= 1
     is the window of a trailing moving average.
 
-    Runs are drawn in banks of at most 10. A linear filter steps a
-    bank's runs together. Each CKLMS run is a task that draws its own
-    stream from the two integers (seed, run). Forked workers, one per
-    usable core, run a bank's CKLMS tasks while this process steps its
-    linear filters, one bank queued at a time; the curves are the same
+    Runs are drawn in banks of at most 10. One `run_bank` pass steps all
+    linear filters over all of a bank's runs, whose errors are squared
+    block by block. Each CKLMS run is a task that draws its own stream
+    from the two integers (seed, run). Forked workers, one per usable
+    core, run a bank's CKLMS tasks while this process steps its linear
+    filters, one bank queued at a time; the curves are the same
     bytes for any core count, and `taskset -c 0` keeps the runs in this
     process. The bank is then summed run by run, each run's algorithms
     in the requested order; the first non-finite squared error raises
@@ -268,10 +269,14 @@ def run_experiment(
             bank = range(runs)[first : first + _BANK]
             # queued one bank at a time, before the linear filters step, so the workers run them meanwhile
             streams = {"cklms": (pool.map if pool else map)(cklms, bank)}
-            dataset = _draw(cfg, n_samples, L, D, seed, bank) if linear else None
-            for name, nlms in linear.items():  # a bank steps copies of the filter's zero weights
-                streams[name] = zip(_squared(nlms.run(dataset.inputs, dataset.targets)), [0.0] * len(bank))
-            dataset = None  # freed before a CKLMS run of this bank takes place in this process
+            if linear:  # one bank steps copies of every linear filter's zero weights
+                dataset = _draw(cfg, n_samples, L, D, seed, bank)
+                squared, done = np.empty((len(linear), len(bank), len(dataset))), 0
+                for block in run_bank(list(linear.values()), dataset.inputs, dataset.targets):
+                    _squared(block, squared[..., done : done + len(block)].transpose(2, 0, 1))
+                    done += len(block)
+                streams.update({name: zip(rows, [0.0] * len(bank)) for name, rows in zip(linear, squared[..., :done])})
+                del dataset, squared, block  # freed before a CKLMS run of this bank takes place in this process
             for run in bank:
                 for name in algorithms:
                     e, sizes = next(streams[name])

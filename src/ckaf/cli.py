@@ -81,7 +81,6 @@ def emit_csv(curves: dict, comment: str, path) -> None:
     tmp = f"{path}.{os.getpid()}.tmp" if replace else path
     if stdout:
         sys.stdout.flush()
-    # a new file takes the umask's mode
     fh = open(1 if stdout else tmp, "x" if replace else "w", encoding="utf-8", newline="\n", closefd=not stdout)
     try:
         with fh:
@@ -93,6 +92,8 @@ def emit_csv(curves: dict, comment: str, path) -> None:
                 for name, mse, mse_db, size in columns:
                     fh.write(f"{n},{name},{mse[n]:.12e},{mse_db[n]:.12e},{size[n]:.12g}\n")
         if replace:
+            if os.path.exists(path):  # a replaced file keeps its permission bits; a new one took the umask's
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
             os.replace(tmp, path)
     except BaseException:
         if replace:

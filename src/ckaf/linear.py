@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .kernels import row_sq_norms
 
 _EPS = 1e-8  # regularizes the power normalization against a vanishing input power
+_BLOCK = 512  # steps of errors a bank hands out at once: a caller that squares them holds one block, not the stream
 
 
 class ComplexNlms:
@@ -59,21 +60,6 @@ class ComplexNlms:
         """Weights of x* (a view), or None when the filter is strictly linear."""
         return self._w[self.n_taps :] if self.widely_linear else None
 
-    def _step(self, h: np.ndarray, g: Optional[np.ndarray], x: np.ndarray, gain, d, e: np.ndarray) -> np.ndarray:
-        """The normalized-LMS step of weight views h and g (None if strictly linear) on input rows x (unit stride),
-        gains mu / (power + _EPS): writes the errors into e, returns the outputs h^H x (+ g^H x*), both pre-update."""
-        y = np.vecdot(h, x)
-        if g is not None:
-            xc = x.conj()
-            # h^H x and g^H x* are summed apart, so that g = 0 leaves h^H x exact
-            y += np.vecdot(g, xc)
-        np.subtract(d, y, out=e)
-        c = (gain * e.conj())[..., np.newaxis]
-        h += c * x
-        if g is not None:
-            g += c * xc
-        return y
-
     def update(self, x, d: complex) -> tuple[complex, complex]:
         """One normalized-LMS step; returns (prediction, error), both pre-update."""
         x = np.atleast_1d(np.asarray(x, dtype=complex))
@@ -87,45 +73,72 @@ class ComplexNlms:
         if not cmath.isfinite(d):
             raise ValueError("non-finite desired value; update rejected")
         gain = self.mu / ((2.0 * power if self.widely_linear else power) + _EPS)
-        e = np.empty((), dtype=complex)
-        return complex(self._step(self.h, self.g, x, gain, d, e)), complex(e)
+        w, e = self._w.reshape(-1, self.n_taps), np.empty(1, dtype=complex)
+        return complex(_step(w[:1], w[1:] if self.widely_linear else None, slice(1), x, gain, d, e)[0]), complex(e[0])
 
     def run(self, inputs, targets) -> np.ndarray:
         """Update through an (N, n_taps) stream with N targets; return the N pre-update errors.
 
-        An (R, N, n_taps) stack with (R, N) targets steps R copies of the current
-        weights and returns (R, N) errors; the filter's own weights stay as they
-        were. Bad input raises before any state changes. With unit-stride input
-        rows, a stream's errors (and a single stream's weights) equal N calls of
-        `update` bit for bit up to its first non-finite squared error; the run
-        stops once no stream has a finite one.
-        """
-        x = np.asarray(inputs, dtype=complex)
-        if x.ndim not in (2, 3):
-            raise ValueError(f"expected an (N, {self.n_taps}) block or an (R, N, {self.n_taps}) stack, got shape {x.shape}")
-        if x.shape[-1] != self.n_taps:
-            raise ValueError(f"input length {x.shape[-1:]} does not match filter length ({self.n_taps},)")
-        powers = row_sq_norms(x)
-        if not np.isfinite(powers).all():
-            raise ValueError("non-finite input sample; run rejected")
-        targets = np.asarray(targets, dtype=complex)
-        if targets.shape != x.shape[:-1]:
-            raise ValueError(f"{x.shape[-2]} inputs but targets of shape {targets.shape}")
-        if not np.isfinite(targets).all():
-            raise ValueError("non-finite desired value; run rejected")
-        stacked = x.ndim == 3
-        x, targets, powers = (a if stacked else a[np.newaxis] for a in (x, targets, powers))
-        # a stack steps copies of the weights; one stream steps the filter's own in place
-        w = np.repeat(self._w[np.newaxis], len(x), axis=0) if stacked else self._w[np.newaxis]
-        np.multiply(powers, 2.0 if self.widely_linear else 1.0, out=powers)  # in place, as a stack's gains are large
-        gains = np.divide(self.mu, np.add(powers, _EPS, out=powers), out=powers)
-        errors = np.empty(targets.shape[::-1], dtype=complex)
-        h, g = w[:, : self.n_taps], w[:, self.n_taps :] if self.widely_linear else None
-        with np.errstate(all="ignore"):  # a diverged stream keeps stepping beside the others
-            for i, (x_i, gain, d, e) in enumerate(zip(x.swapaxes(0, 1), gains.T, targets.T, errors)):
-                self._step(h, g, x_i, gain, d, e)
-                # a finite sum of squared errors cheaply proves that one of them is finite
-                if not cmath.isfinite(np.vdot(e, e)) and not np.isfinite(e.real * e.real + e.imag * e.imag).any():
-                    errors = errors[: i + 1]
+        An (R, N, n_taps) stack with (R, N) targets steps R copies of the current weights and returns (R, N)
+        errors, leaving the filter's own weights as they were. Either runs as a bank of this filter alone
+        (`run_bank`); a single stream's weights end as N calls of `update` leave them, bit for bit."""
+        weights = None if np.ndim(inputs) == 3 else self._w.reshape(-1, self.n_taps)  # one stream's, in place
+        errors = np.concatenate(list(run_bank([self], inputs, targets, weights)))[:, 0]
+        return errors.T if weights is None else errors
+
+
+def _step(h: np.ndarray, g: Optional[np.ndarray], wide, x: np.ndarray, gain, d, e: np.ndarray) -> np.ndarray:
+    """The normalized-LMS step of weight rows h (A, ..., taps), the rows `wide` widely linear with conjugate weights g
+    (else None), on unit-stride inputs x (..., taps) with gains mu / (power + _EPS): errors into e, outputs returned."""
+    y = np.vecdot(h, x)
+    if g is not None:
+        xc = x.conj()
+        # h^H x and g^H x* are summed apart, so that g = 0 leaves h^H x exact, and only the widely linear rows add
+        y[wide] += np.vecdot(g, xc)
+    np.subtract(d, y, out=e)
+    c = (gain * e.conj())[..., np.newaxis]
+    h += c * x
+    if g is not None:
+        g += c[wide] * xc
+    return y
+
+
+def run_bank(filters: Sequence[ComplexNlms], inputs, targets, weights=None) -> Iterator[np.ndarray]:
+    """Step copies of the weights of A filters of one length, widely linear ones adjacent, over an (R, N, taps) stack
+    with (R, N) targets, or one (N, taps) stream, one normalized-LMS step per sample for all A x R rows; yield the
+    (n, A, R), or (n, A), pre-update errors in blocks of _BLOCK steps. `weights`, each filter's h, then each widely
+    linear g, as (A + W, R, taps) or (A + W, taps), is stepped in place of the copies. Bad input raises before any
+    step. With unit-stride input rows, a row's errors equal `update`'s bit for bit up to its first non-finite
+    squared error; the bank stops once no row has a finite one."""
+    taps, x, targets = filters[0].n_taps, np.asarray(inputs, dtype=complex), np.asarray(targets, dtype=complex)
+    if x.ndim not in (2, 3):
+        raise ValueError(f"expected an (N, {taps}) block or an (R, N, {taps}) stack, got shape {x.shape}")
+    if x.shape[-1] != taps:  # filters of other lengths fail to stack into one weight array
+        raise ValueError(f"input length {x.shape[-1:]} does not match filter length ({taps},)")
+    if targets.shape != x.shape[:-1]:
+        raise ValueError(f"{x.shape[-2]} inputs but targets of shape {targets.shape}")
+    x, targets = np.moveaxis(x, -2, 0), np.moveaxis(targets, -1, 0)  # time-major views
+    # the powers are taken block by block, here and in the steps, so that no (N, R) array of them is held
+    if not all(np.isfinite(row_sq_norms(x[t : t + _BLOCK])).all() for t in range(0, len(x), _BLOCK)):
+        raise ValueError("non-finite input sample; run rejected")
+    if not np.isfinite(targets).all():
+        raise ValueError("non-finite desired value; run rejected")
+    wide = [a for a, f in enumerate(filters) if f.widely_linear]
+    if weights is None:
+        weights = np.array([np.broadcast_to(w, x.shape[1:]) for w in [f.h for f in filters] + [filters[a].g for a in wide]])
+    h, g = weights[: len(filters)], weights[len(filters) :] if wide else None
+    wide = slice(wide[0], wide[-1] + 1) if wide else None  # a broadcast error if they are not adjacent
+    for t in range(0, max(len(x), 1), _BLOCK):  # an empty stream yields one empty block
+        powers = row_sq_norms(x[t : t + _BLOCK])
+        gains = np.stack([f.mu / (powers * (2.0 if f.widely_linear else 1.0) + _EPS) for f in filters], axis=1)
+        errors, n, stopped = np.empty(gains.shape, dtype=complex), 0, False
+        with np.errstate(all="ignore"):  # a diverged row keeps stepping beside the others
+            for n, (x_t, gain, d, e) in enumerate(zip(x[t : t + _BLOCK], gains, targets[t : t + _BLOCK], errors), 1):
+                _step(h, g, wide, x_t, gain, d, e)
+                total = np.vdot(e, e)  # a finite sum of squared errors cheaply proves that one of them is finite
+                stopped = not cmath.isfinite(total) and not np.isfinite(e.real * e.real + e.imag * e.imag).any()
+                if stopped:
                     break
-        return errors.T if stacked else errors[:, 0]
+        yield errors[:n]
+        if stopped:
+            return

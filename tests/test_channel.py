@@ -20,6 +20,7 @@ import pytest
 from conftest import process_ended
 
 import ckaf
+from ckaf import channel
 from ckaf.channel import (
     ALGORITHMS,
     ChannelConfig,
@@ -549,16 +550,16 @@ def test_each_bank_queues_its_cklms_tasks_before_its_linear_filters_step(usable_
             return taken()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    linear_run = ComplexNlms.run
+    run_bank = channel.run_bank
 
-    def recorded_run(self, inputs, targets):
+    def recorded_bank(filters, inputs, targets):
         events.append(("linear", len(inputs)))
-        return linear_run(self, inputs, targets)
+        return run_bank(filters, inputs, targets)
 
-    monkeypatch.setattr(ComplexNlms, "run", recorded_run)
+    monkeypatch.setattr(channel, "run_bank", recorded_bank)
     run_experiment(ALGORITHMS, ChannelConfig(), n_samples=200, runs=13, seed=6)
     assert built == [2]
-    bank = lambda size: [("queued", size), ("linear", size), ("linear", size), *[("taken", 1)] * size]
+    bank = lambda size: [("queued", size), ("linear", size), *[("taken", 1)] * size]
     assert events == bank(10) + bank(3)
     # the workers run a bank's tasks while its linear filters step, and only one bank is ever outstanding
     outstanding = np.cumsum([n if kind == "queued" else -n for kind, n in events if kind != "linear"])

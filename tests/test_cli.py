@@ -175,6 +175,21 @@ class TestEmitCsv:
             os.umask(old_umask)
         assert os.stat(tmp_path / "out.csv").st_mode == os.stat(tmp_path / "plain").st_mode
 
+    @pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path, mode):
+        # under umask 022 the replacement used to come back 0o644: readable by everyone, or no longer group-writable
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old curves\n")
+        os.chmod(path, mode)
+        old_umask = os.umask(0o022)
+        try:
+            cli.emit_csv(_tiny_curves(["nclms"], n_samples=5), "# c", path)
+        finally:
+            os.umask(old_umask)
+        assert path.read_text().splitlines()[:2] == [cli.CSV_HEADER, "# c"]
+        assert os.stat(path).st_mode & 0o7777 == mode
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_roundtrip_at_printed_precision(self, tmp_path):
         curves = _tiny_curves(["nclms"], n_samples=40)
         path = tmp_path / "out.csv"

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ckaf.linear import ComplexNlms
+from ckaf import linear
+from ckaf.linear import ComplexNlms, run_bank
 
 
 class TestPredict:
@@ -366,3 +367,112 @@ def test_bad_stack_rejected_state_unchanged(wl):
             f.run(stack_x, stack_d)
     assert np.array_equal(f.h, h)
     assert f.update(xs[0], ds[0])  # still a single-stream filter
+
+
+def _bank(filters, xs, ds):
+    """The errors of run_bank as one (N, A, R) array."""
+    return np.concatenate(list(run_bank(filters, xs, ds)))
+
+
+def _bank_filters(order, diverging=None):
+    """One NCLMS and one WL-NCLMS filter of 3 taps in the given order, the `diverging` one at mu = 10."""
+    return [ComplexNlms(3, mu=10.0 if name == diverging else 0.5, widely_linear=name == "wl-nclms") for name in order]
+
+
+ORDERS = [("nclms", "wl-nclms"), ("wl-nclms", "nclms")]
+
+
+@pytest.mark.parametrize("diverging", ["nclms", "wl-nclms"])
+@pytest.mark.parametrize("order", ORDERS, ids="-then-".join)
+def test_bank_matches_each_filters_update_loop_with_one_stream_diverging_in_one_filter(order, diverging):
+    # at mu = 10 a stream diverges within ~400 steps; targets scaled by 1e-250 put it off past this length,
+    # which spans two blocks, so only stream 1 diverges, and only in the filter at mu = 10
+    streams = [_stream(40 + j, 560, 3) for j in range(3)]
+    xs = np.stack([x for x, _ in streams])
+    ds = np.stack([d * (1.0 if j == 1 else 1e-250) for j, (_, d) in enumerate(streams)])
+    got = _bank(_bank_filters(order, diverging), xs, ds)
+    assert got.shape == (560, 2, 3)
+    for a, name in enumerate(order):
+        for j in range(3):
+            errors = _update_loop(_bank_filters(order, diverging)[a], xs[j], ds[j])
+            assert (errors.size < 560) == (name == diverging and j == 1)
+            assert np.array_equal(got[: errors.size, a, j], errors, equal_nan=True)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids="-then-".join)
+def test_bank_stops_once_no_row_of_any_filter_has_a_finite_squared_error(order):
+    # both filters at mu = 10; the tiny targets of stream 1 put its divergence past the first block
+    streams = [_stream(50 + j, 2000, 3) for j in range(2)]
+    xs = np.stack([x for x, _ in streams])
+    ds = np.stack([streams[0][1], streams[1][1] * 1e-250])
+    filters = [ComplexNlms(3, mu=10.0, widely_linear=name == "wl-nclms") for name in order]
+    got = _bank(filters, xs, ds)
+    lengths = [_update_loop(copy.deepcopy(f), x, d).size for f in filters for x, d in zip(xs, ds)]
+    assert linear._BLOCK < max(lengths) < 2000
+    assert got.shape == (max(lengths), 2, 2)
+
+
+B = linear._BLOCK
+
+
+@pytest.mark.parametrize(
+    "length, step, everywhere",
+    [
+        pytest.param(B - 1, None, False, id="block-1"),
+        pytest.param(B, None, False, id="block"),
+        pytest.param(B + 1, None, False, id="block+1"),
+        pytest.param(B, B - 1, False, id="block-stream-0-diverges-on-the-last-step"),
+        pytest.param(B, B - 1, True, id="block-all-diverge-on-the-last-step"),
+        pytest.param(B + 1, B - 1, False, id="block+1-stream-0-diverges-on-the-last-step-of-a-block"),
+        pytest.param(B + 1, B - 1, True, id="block+1-all-diverge-on-the-last-step-of-a-block"),
+        pytest.param(B + 1, B, False, id="block+1-stream-0-diverges-on-the-first-step-of-the-next-block"),
+        pytest.param(B + 1, B, True, id="block+1-all-diverge-on-the-first-step-of-the-next-block"),
+    ],
+)
+def test_bank_blocks_join_into_the_update_loops(length, step, everywhere):
+    # a finite target of 1e300 makes the squared error at `step` overflow: in stream 0, or in every stream
+    streams = [_stream(60 + j, length, 3) for j in range(2)]
+    xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
+    if step is not None:
+        ds[: 2 if everywhere else 1, step] = 1e300
+    blocks = list(run_bank(_bank_filters(ORDERS[0]), xs, ds))
+    assert [len(b) for b in blocks[:-1]] == [B] * (len(blocks) - 1) and 1 <= len(blocks[-1]) <= B
+    got = np.concatenate(blocks)
+    assert len(got) == (step + 1 if everywhere else length)
+    for a in range(2):
+        for j in range(2):
+            errors = _update_loop(_bank_filters(ORDERS[0])[a], xs[j], ds[j])
+            assert errors.size == (step + 1 if step is not None and (everywhere or j == 0) else length)
+            assert np.array_equal(got[: errors.size, a, j], errors, equal_nan=True)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids="-then-".join)
+def test_bank_starts_from_the_current_weights_and_leaves_them_unchanged(order):
+    filters = _bank_filters(order)
+    for f, seed in zip(filters, (70, 71)):
+        f.run(*_stream(seed, 30, 3))
+    before = [f._w.copy() for f in filters]
+    streams = [_stream(72 + j, 40, 3) for j in range(2)]
+    xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
+    expected = [[_update_loop(copy.deepcopy(f), x, d) for x, d in zip(xs, ds)] for f in filters]
+    got = _bank(filters, xs, ds)
+    assert np.array_equal(got.transpose(1, 2, 0), expected)
+    for f, w in zip(filters, before):
+        assert np.array_equal(f._w, w)
+    assert filters[1].h.any()  # the warm-up moved the weights the bank started from
+
+
+def test_bank_of_widely_linear_filters_that_are_not_adjacent_is_rejected_before_a_step():
+    filters = [ComplexNlms(3, mu=0.5, widely_linear=wl) for wl in (True, False, True)]
+    xs, ds = _stream(80, 10, 3)
+    with pytest.raises(ValueError):
+        _bank(filters, xs[np.newaxis], ds[np.newaxis])
+    assert not any(f._w.any() for f in filters)
+
+
+@pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
+def test_run_on_an_empty_stream_returns_no_errors(wl):
+    f = ComplexNlms(3, mu=0.5, widely_linear=wl)
+    assert f.run(np.empty((0, 3)), []).shape == (0,)
+    assert f.run(np.empty((2, 0, 3)), np.empty((2, 0))).shape == (2, 0)
+    assert not f._w.any()
