@@ -82,9 +82,10 @@ class ComplexNlms:
         An (R, N, n_taps) stack with (R, N) targets steps R copies of the current weights and returns (R, N)
         errors, leaving the filter's own weights as they were. Either runs as a bank of this filter alone
         (`run_bank`); a single stream's weights end as N calls of `update` leave them, bit for bit."""
-        weights = None if np.ndim(inputs) == 3 else self._w.reshape(-1, self.n_taps)  # one stream's, in place
-        errors = np.concatenate(list(run_bank([self], inputs, targets, weights)))[:, 0]
-        return errors.T if weights is None else errors
+        errors, done = np.empty(np.shape(targets)[::-1], dtype=complex), 0  # time-major: (N,) or (N, R)
+        for block in run_bank([self], inputs, targets, None if np.ndim(inputs) == 3 else self._w.reshape(-1, self.n_taps)):
+            errors[done : done + len(block)], done = block[:, 0], done + len(block)
+        return errors[:done].T
 
 
 def _step(h: np.ndarray, g: Optional[np.ndarray], wide, x: np.ndarray, gain, d, e: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,3 +477,48 @@ def test_run_on_an_empty_stream_returns_no_errors(wl):
     assert f.run(np.empty((0, 3)), []).shape == (0,)
     assert f.run(np.empty((2, 0, 3)), np.empty((2, 0))).shape == (2, 0)
     assert not f._w.any()
+
+
+def _nlms_reference(xs, ds, mu, wl):
+    """Plain NLMS, or WL-NLMS, on one complex stream, written apart from ckaf.linear: its pre-update errors."""
+    h, g = np.zeros(xs.shape[1], dtype=complex), np.zeros(xs.shape[1], dtype=complex)
+    errors = []
+    for x, d in zip(xs, ds):
+        e = d - (np.vdot(h, x) + np.vdot(g, x.conj()) if wl else np.vdot(h, x))
+        p = np.vdot(x, x).real
+        c = mu / ((2 * p if wl else p) + 1e-8) * e.conjugate()
+        h = h + c * x
+        g = g + c * x.conj()
+        errors.append(e)
+    return np.array(errors)
+
+
+def test_bank_rows_equal_a_plain_nlms_recursion():
+    # update and run_bank share one step, so this reference is the bank's independent check
+    streams = [_stream(90 + j, 1500, 6) for j in range(4)]
+    xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
+    filters = [ComplexNlms(6, mu=0.5), ComplexNlms(6, mu=0.3, widely_linear=True)]
+    got = _bank(filters, xs, ds)
+    assert got.shape == (1500, 2, 4) and len(got) > linear._BLOCK
+    for a, f in enumerate(filters):
+        for j in range(4):
+            assert np.array_equal(got[:, a, j], _nlms_reference(xs[j], ds[j], f.mu, f.widely_linear))
+
+
+def test_stacked_run_holds_its_errors_once(monkeypatch):
+    # beyond the (R, N) errors, a run holds a few of the bank's blocks and, while it checks the targets, one byte
+    # per target; blocks of 64 steps keep the blocks small beside a short stream. Errors held twice, as joining
+    # the blocks at the end would hold them, read twice their size
+    monkeypatch.setattr(linear, "_BLOCK", 64)
+    f = ComplexNlms(6, mu=1 / 16, widely_linear=True)
+    f.run(*(np.stack([v, v]) for v in _stream(95, 50, 6)))  # first-call allocations
+    streams = [_stream(96 + j, 3200, 6) for j in range(10)]
+    xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
+    tracemalloc.start()
+    try:
+        errors = f.run(xs, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors.shape == (10, 3200)
+    assert peak <= 1.25 * errors.nbytes

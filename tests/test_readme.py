@@ -1,9 +1,10 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and the files it names exist."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_sketch_runs():
@@ -15,3 +16,11 @@ def test_library_sketch_runs():
     assert namespace["out"].errors.shape == (200,)
     assert namespace["bank"].shape == (4, 50)
     assert namespace["both"].shape == (50, 2, 4)
+
+
+def test_named_files_exist():
+    # a benchmark record, test or bench script that the README cites must not have been renamed or deleted
+    text = README.read_text(encoding="utf-8")
+    names = set(re.findall(r"\bBENCH_\d+\.json", text)) | set(re.findall(r"\b(?:tests|bench|src)/[\w./-]*\w", text))
+    missing = sorted(n for n in names if not (ROOT / n).exists())
+    assert names and not missing, f"the README names files that do not exist: {missing}"
