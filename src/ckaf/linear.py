@@ -76,17 +76,6 @@ class ComplexNlms:
         w, e = self._w.reshape(-1, self.n_taps), np.empty(1, dtype=complex)
         return complex(_step(w[:1], w[1:] if self.widely_linear else None, slice(1), x, gain, d, e)[0]), complex(e[0])
 
-    def run(self, inputs, targets) -> np.ndarray:
-        """Update through an (N, n_taps) stream with N targets; return the N pre-update errors.
-
-        An (R, N, n_taps) stack with (R, N) targets steps R copies of the current weights and returns (R, N)
-        errors, leaving the filter's own weights as they were. Either runs as a bank of this filter alone
-        (`run_bank`); a single stream's weights end as N calls of `update` leave them, bit for bit."""
-        errors, done = np.empty(np.shape(targets)[::-1], dtype=complex), 0  # time-major: (N,) or (N, R)
-        for block in run_bank([self], inputs, targets, None if np.ndim(inputs) == 3 else self._w.reshape(-1, self.n_taps)):
-            errors[done : done + len(block)], done = block[:, 0], done + len(block)
-        return errors[:done].T
-
 
 def _step(h: np.ndarray, g: Optional[np.ndarray], wide, x: np.ndarray, gain, d, e: np.ndarray) -> np.ndarray:
     """The normalized-LMS step of weight rows h (A, ..., taps), the rows `wide` widely linear with conjugate weights g
@@ -104,17 +93,18 @@ def _step(h: np.ndarray, g: Optional[np.ndarray], wide, x: np.ndarray, gain, d, 
     return y
 
 
-def run_bank(filters: Sequence[ComplexNlms], inputs, targets, weights=None) -> Iterator[np.ndarray]:
-    """Step copies of the weights of A filters of one length, widely linear ones adjacent, over an (R, N, taps) stack
-    with (R, N) targets, or one (N, taps) stream, one normalized-LMS step per sample for all A x R rows; yield the
-    (n, A, R), or (n, A), pre-update errors in blocks of _BLOCK steps. `weights`, each filter's h, then each widely
-    linear g, as (A + W, R, taps) or (A + W, taps), is stepped in place of the copies. Bad input raises before any
-    step. With unit-stride input rows, a row's errors equal `update`'s bit for bit up to its first non-finite
-    squared error; the bank stops once no row has a finite one."""
+def run_bank(filters: Sequence[ComplexNlms], inputs, targets) -> Iterator[np.ndarray]:
+    """Step copies of the weights of A >= 1 filters of one length, widely linear ones adjacent, over an (R, N, taps)
+    stack with (R, N) targets, or one (N, taps) stream, one normalized-LMS step per sample for all A x R rows; yield
+    the (n, A, R), or (n, A), pre-update errors in blocks of _BLOCK steps. The filters never change: `update` is what
+    moves a filter's weights. Bad input raises before any step. With unit-stride input rows, a row's errors equal
+    `update`'s bit for bit up to its first non-finite squared error; the bank stops once no row has a finite one."""
+    if len({f.n_taps for f in filters}) != 1:  # no filter, or filters of several lengths
+        raise ValueError(f"a bank takes one or more filters of one length, got lengths {[f.n_taps for f in filters]}")
     taps, x, targets = filters[0].n_taps, np.asarray(inputs, dtype=complex), np.asarray(targets, dtype=complex)
     if x.ndim not in (2, 3):
         raise ValueError(f"expected an (N, {taps}) block or an (R, N, {taps}) stack, got shape {x.shape}")
-    if x.shape[-1] != taps:  # filters of other lengths fail to stack into one weight array
+    if x.shape[-1] != taps:
         raise ValueError(f"input length {x.shape[-1:]} does not match filter length ({taps},)")
     if targets.shape != x.shape[:-1]:
         raise ValueError(f"{x.shape[-2]} inputs but targets of shape {targets.shape}")
@@ -125,8 +115,7 @@ def run_bank(filters: Sequence[ComplexNlms], inputs, targets, weights=None) -> I
     if not np.isfinite(targets).all():
         raise ValueError("non-finite desired value; run rejected")
     wide = [a for a, f in enumerate(filters) if f.widely_linear]
-    if weights is None:
-        weights = np.array([np.broadcast_to(w, x.shape[1:]) for w in [f.h for f in filters] + [filters[a].g for a in wide]])
+    weights = np.array([np.broadcast_to(w, x.shape[1:]) for w in [f.h for f in filters] + [filters[a].g for a in wide]])
     h, g = weights[: len(filters)], weights[len(filters) :] if wide else None
     wide = slice(wide[0], wide[-1] + 1) if wide else None  # a broadcast error if they are not adjacent
     for t in range(0, max(len(x), 1), _BLOCK):  # an empty stream yields one empty block

@@ -87,6 +87,16 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             f.predict([1j, 2j])
 
+    @pytest.mark.parametrize("call", [lambda f, z: f.step(z, 1.0), lambda f, z: f.predict(z)], ids=["step", "predict"])
+    def test_a_block_of_inputs_is_rejected_state_unchanged(self, call):
+        # an (N, nu) block is a stream for run; step and predict take one 1-D vector
+        f = CklmsFilter(RealKernel.gaussian(1.0), mu=0.5)
+        f.step([1j, 0.5], 1.0)
+        centers, coeffs = f.centers.copy(), f.coeffs.copy()
+        with pytest.raises(ValueError, match=r"expected a 1-D complex vector, got shape \(2, 2\)"):
+            call(f, [[1j, 0.5], [0.5, 1j]])
+        assert np.array_equal(f.centers, centers) and np.array_equal(f.coeffs, coeffs)
+
 
 class TestStep:
     def test_first_step_hand_computed(self):

@@ -265,6 +265,18 @@ class TestMain:
     def test_bad_arguments_exit_2(self):
         assert cli.main(["equalize", "--samples", "-5"]) == 2
 
+    def test_argparse_exits_become_exit_codes(self, tmp_path, monkeypatch, capsys):
+        # main returns argparse's exit code instead of raising SystemExit, and writes nothing
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["equalize", "--bogus", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ckaf") and "unrecognized arguments: --bogus 1" in err
+        assert cli.main(["equalize", "--algorithm", "all", "--mu", "0.2"]) == 2
+        assert "--mu cannot be combined with --algorithm all" in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ckaf")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flags",
         [

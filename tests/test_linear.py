@@ -2,7 +2,6 @@
 
 import copy
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +103,7 @@ class TestUpdate:
         f.update([1 + 1j, 1j], 1.0)
         h, g = f.h.copy(), None if f.g is None else f.g.copy()
         assert f.update([0j, 0j], 1.0) == (0j, 1 + 0j)
-        np.testing.assert_array_equal(f.run([[0j, 0j]], [1.0]), [1 + 0j])
+        np.testing.assert_array_equal(_bank([f], [[0j, 0j]], [1.0]), [[1 + 0j]])
         np.testing.assert_array_equal(f.h, h)
         if wl:
             np.testing.assert_array_equal(f.g, g)
@@ -187,19 +186,31 @@ def _stream(seed, n, n_taps, scale=1.0):
     return xs, ds
 
 
+def _update_loop(f, xs, ds):
+    """Errors of update over a stream, ending at the first non-finite squared error."""
+    errors = []
+    for x, d in zip(xs, ds):
+        e = f.update(x, d)[1]
+        errors.append(e)
+        if not math.isfinite(e.real * e.real + e.imag * e.imag):
+            break
+    return np.array(errors)
+
+
+def _bank(filters, xs, ds):
+    """The errors of run_bank as one (N, A, R) array."""
+    return np.concatenate(list(run_bank(filters, xs, ds)))
+
+
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
 def test_run_matches_update_loop(wl):
-    """run over a stream gives the bits of update called on each sample."""
-    xs, ds = _stream(20, 500, 4)
+    """A bank of one filter over a stream, across block edges, gives the bits of update called on each sample."""
+    xs, ds = _stream(20, 1100, 4)
     updated = ComplexNlms(4, mu=0.4, widely_linear=wl)
     errors = [updated.update(x, d)[1] for x, d in zip(xs, ds)]
-    ran = ComplexNlms(4, mu=0.4, widely_linear=wl)
-    got = ran.run(xs, ds)
-    assert got.dtype == complex
-    assert np.array_equal(got, errors)
-    assert np.array_equal(ran.h, updated.h)
-    if wl:
-        assert np.array_equal(ran.g, updated.g)
+    got = _bank([ComplexNlms(4, mu=0.4, widely_linear=wl)], xs, ds)
+    assert got.dtype == complex and len(got) > 2 * linear._BLOCK
+    assert np.array_equal(got[:, 0], errors)
 
 
 def test_widely_linear_branches_assignable():
@@ -227,7 +238,7 @@ def test_run_stops_at_first_nonfinite_squared_error(wl):
         if not np.isfinite(e.real * e.real + e.imag * e.imag):
             break
     assert len(errors) < len(ds)
-    assert np.array_equal(ComplexNlms(3, mu=10.0, widely_linear=wl).run(xs, ds), errors)
+    assert np.array_equal(_bank([ComplexNlms(3, mu=10.0, widely_linear=wl)], xs, ds)[:, 0], errors)
 
 
 def _huge_row(xs):
@@ -257,10 +268,10 @@ def _huge_row(xs):
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
 def test_run_rejects_bad_block_state_unchanged(wl, corrupt, message):
     f = ComplexNlms(3, mu=0.5, widely_linear=wl)
-    f.run(*_stream(22, 10, 3))
+    _update_loop(f, *_stream(22, 10, 3))
     h, g = f.h.copy(), None if f.g is None else f.g.copy()
     with pytest.raises(ValueError, match=message):
-        f.run(*corrupt(*_stream(23, 40, 3)))
+        _bank([f], *corrupt(*_stream(23, 40, 3)))
     np.testing.assert_array_equal(f.h, h)
     if wl:
         np.testing.assert_array_equal(f.g, g)
@@ -274,25 +285,13 @@ def test_infinite_mu_rejected(wl):
     assert ComplexNlms(2, mu=0.0, widely_linear=wl).mu == 0.0
 
 
-def _update_loop(f, xs, ds):
-    """Errors of update over a stream, ending at the first non-finite squared error."""
-    errors = []
-    for x, d in zip(xs, ds):
-        e = f.update(x, d)[1]
-        errors.append(e)
-        if not math.isfinite(e.real * e.real + e.imag * e.imag):
-            break
-    return np.array(errors)
-
-
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
 def test_stacked_run_matches_update_loops_with_one_stream_diverging(wl):
     # at mu = 10 every stream diverges in time; targets scaled by 1e-250 put it off past the stream's end
     streams = [_stream(30 + j, 500, 3) for j in range(3)]
     xs = np.stack([x for x, _ in streams])
     ds = np.stack([d * (1.0 if j == 1 else 1e-250) for j, (_, d) in enumerate(streams)])
-    stacked = ComplexNlms(3, mu=10.0, widely_linear=wl)
-    got = stacked.run(xs, ds)
+    got = _bank([ComplexNlms(3, mu=10.0, widely_linear=wl)], xs, ds)[:, 0].T
     assert got.shape == (3, 500)
     for j in range(3):
         ref = ComplexNlms(3, mu=10.0, widely_linear=wl)
@@ -305,35 +304,31 @@ def test_stacked_run_matches_update_loops_with_one_stream_diverging(wl):
 def test_stacked_run_stops_once_every_stream_diverged(wl):
     streams = [_stream(33 + j, 2000, 3) for j in range(2)]
     xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
-    got = ComplexNlms(3, mu=10.0, widely_linear=wl).run(xs, ds)
+    got = _bank([ComplexNlms(3, mu=10.0, widely_linear=wl)], xs, ds)[:, 0].T
     lengths = [_update_loop(ComplexNlms(3, mu=10.0, widely_linear=wl), x, d).size for x, d in zip(xs, ds)]
     assert max(lengths) < 2000
     assert got.shape == (2, max(lengths))
 
 
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
-def test_single_stream_run_stops_with_the_weights_of_the_update_loop(wl):
+def test_single_stream_bank_stops_where_the_update_loop_does(wl):
     rng = np.random.default_rng(0)
     xs, ds = rng.standard_normal((3000, 3)).astype(complex), rng.standard_normal(3000).astype(complex)
     ref = ComplexNlms(3, mu=50.0, widely_linear=wl)
     errors = _update_loop(ref, xs, ds)
-    ran = ComplexNlms(3, mu=50.0, widely_linear=wl)
-    assert np.array_equal(ran.run(xs, ds), errors)
-    assert errors.size < 3000 and np.abs(ran.h).max() > 1e150
-    assert np.array_equal(ran.h, ref.h)
-    assert not wl or np.array_equal(ran.g, ref.g)
+    assert errors.size < 3000 and np.abs(ref.h).max() > 1e150
+    assert np.array_equal(_bank([ComplexNlms(3, mu=50.0, widely_linear=wl)], xs, ds)[:, 0], errors)
 
 
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
 def test_stacked_run_starts_every_stream_from_the_current_weights(wl):
     xs, ds = _stream(36, 40, 3)
     warm = ComplexNlms(3, mu=0.5, widely_linear=wl)
-    warm.run(xs[:20], ds[:20])
-    single = ComplexNlms(3, mu=0.5, widely_linear=wl)
-    single.run(xs[:20], ds[:20])
-    expected = single.run(xs[20:], ds[20:])
-    got = warm.run(np.stack([xs[20:], xs[20:]]), np.stack([ds[20:], ds[20:]]))
+    _update_loop(warm, xs[:20], ds[:20])
+    expected = _bank([warm], xs[20:], ds[20:])[:, 0]
+    got = _bank([warm], np.stack([xs[20:], xs[20:]]), np.stack([ds[20:], ds[20:]]))[:, 0].T
     assert np.array_equal(got, [expected, expected])
+    assert np.array_equal(expected, _update_loop(warm, xs[20:], ds[20:]))
 
 
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
@@ -341,17 +336,17 @@ def test_stacked_run_leaves_the_weights_unchanged(wl):
     # a stack steps copies of the weights; the filter used to keep one weight row per stream
     f = ComplexNlms(3, mu=0.5, widely_linear=wl)
     xs, ds = _stream(37, 50, 3)
-    f.run(xs[:10], ds[:10])
+    _update_loop(f, xs[:10], ds[:10])
     h, g = f.h.copy(), None if f.g is None else f.g.copy()
-    f.run(np.stack([xs, 2 * xs]), np.stack([ds, ds]))
+    _bank([f], np.stack([xs, 2 * xs]), np.stack([ds, ds]))
     assert np.array_equal(f.h, h)
     assert f.g is None if not wl else np.array_equal(f.g, g)
-    # the filter still takes single-stream calls, which continue from the same weights
+    # the filter still takes updates, which continue from the same weights
     ref = ComplexNlms(3, mu=0.5, widely_linear=wl)
-    ref.run(xs[:10], ds[:10])
+    _update_loop(ref, xs[:10], ds[:10])
     assert copy.deepcopy(f).update(xs[10], 0j)[0] == copy.deepcopy(ref).update(xs[10], 0j)[0]
     assert f.update(xs[10], ds[10]) == ref.update(xs[10], ds[10])
-    assert np.array_equal(f.run(xs[11:], ds[11:]), ref.run(xs[11:], ds[11:]))
+    assert np.array_equal(_update_loop(f, xs[11:], ds[11:]), _update_loop(ref, xs[11:], ds[11:]))
     assert np.array_equal(f.h, ref.h)
     assert f.g is None if not wl else np.array_equal(f.g, ref.g)
 
@@ -359,20 +354,15 @@ def test_stacked_run_leaves_the_weights_unchanged(wl):
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
 def test_bad_stack_rejected_state_unchanged(wl):
     f = ComplexNlms(3, mu=0.5, widely_linear=wl)
-    f.run(*_stream(38, 10, 3))
+    _update_loop(f, *_stream(38, 10, 3))
     h = f.h.copy()
     xs, ds = _stream(39, 40, 3)
     bad_x = np.stack([xs, np.where(np.arange(40)[:, None] == 30, np.nan, xs)])
     for stack_x, stack_d in ((bad_x, np.stack([ds, ds])), (np.stack([xs, xs]), np.stack([ds, ds[::-1]])[:, :-1])):
         with pytest.raises(ValueError):
-            f.run(stack_x, stack_d)
+            _bank([f], stack_x, stack_d)
     assert np.array_equal(f.h, h)
-    assert f.update(xs[0], ds[0])  # still a single-stream filter
-
-
-def _bank(filters, xs, ds):
-    """The errors of run_bank as one (N, A, R) array."""
-    return np.concatenate(list(run_bank(filters, xs, ds)))
+    assert f.update(xs[0], ds[0])  # still takes updates
 
 
 def _bank_filters(order, diverging=None):
@@ -451,7 +441,7 @@ def test_bank_blocks_join_into_the_update_loops(length, step, everywhere):
 def test_bank_starts_from_the_current_weights_and_leaves_them_unchanged(order):
     filters = _bank_filters(order)
     for f, seed in zip(filters, (70, 71)):
-        f.run(*_stream(seed, 30, 3))
+        _update_loop(f, *_stream(seed, 30, 3))
     before = [f._w.copy() for f in filters]
     streams = [_stream(72 + j, 40, 3) for j in range(2)]
     xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
@@ -471,11 +461,36 @@ def test_bank_of_widely_linear_filters_that_are_not_adjacent_is_rejected_before_
     assert not any(f._w.any() for f in filters)
 
 
+@pytest.mark.parametrize("lengths", [[], [3, 4], [4, 3]], ids=["no-filter", "3-then-4", "4-then-3"])
+def test_bank_of_no_filter_or_of_several_lengths_is_rejected_before_a_step(lengths):
+    # no filter used to raise IndexError, and filters of several lengths a numpy broadcast error
+    filters = [ComplexNlms(n, mu=0.5, widely_linear=n == 4) for n in lengths]
+    xs, ds = _stream(81, 10, 3)
+    with pytest.raises(ValueError, match=rf"a bank takes one or more filters of one length, got lengths \{lengths}"):
+        next(run_bank(filters, xs[np.newaxis], ds[np.newaxis]))
+    assert not any(f._w.any() for f in filters)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["stream", "stack"])
+def test_bank_leaves_every_filters_weights_unchanged(stack):
+    # the WL-NCLMS filter at mu = 10 diverges within the stream, so the bank's copy of its weights ends non-finite
+    filters = _bank_filters(ORDERS[0], diverging="wl-nclms")
+    for f, seed in zip(filters, (82, 83)):
+        _update_loop(f, *_stream(seed, 20, 3))
+    before = [(f.h.copy(), None if f.g is None else f.g.copy()) for f in filters]
+    xs, ds = _stream(84, 2000, 3)
+    got = _bank(filters, np.stack([xs, xs]) if stack else xs, np.stack([ds, ds]) if stack else ds)
+    assert len(got) == 2000 and not np.isfinite(got[-1, 1]).any()
+    for f, (h, g) in zip(filters, before):
+        assert np.array_equal(f.h, h) and (f.g is None if g is None else np.array_equal(f.g, g))
+    assert filters[1].g.any()  # the warm-up moved the weights the bank started from
+
+
 @pytest.mark.parametrize("wl", [False, True], ids=["nclms", "wl-nclms"])
 def test_run_on_an_empty_stream_returns_no_errors(wl):
     f = ComplexNlms(3, mu=0.5, widely_linear=wl)
-    assert f.run(np.empty((0, 3)), []).shape == (0,)
-    assert f.run(np.empty((2, 0, 3)), np.empty((2, 0))).shape == (2, 0)
+    assert [b.shape for b in run_bank([f], np.empty((0, 3)), [])] == [(0, 1)]
+    assert [b.shape for b in run_bank([f], np.empty((2, 0, 3)), np.empty((2, 0)))] == [(0, 1, 2)]
     assert not f._w.any()
 
 
@@ -503,22 +518,3 @@ def test_bank_rows_equal_a_plain_nlms_recursion():
     for a, f in enumerate(filters):
         for j in range(4):
             assert np.array_equal(got[:, a, j], _nlms_reference(xs[j], ds[j], f.mu, f.widely_linear))
-
-
-def test_stacked_run_holds_its_errors_once(monkeypatch):
-    # beyond the (R, N) errors, a run holds a few of the bank's blocks and, while it checks the targets, one byte
-    # per target; blocks of 64 steps keep the blocks small beside a short stream. Errors held twice, as joining
-    # the blocks at the end would hold them, read twice their size
-    monkeypatch.setattr(linear, "_BLOCK", 64)
-    f = ComplexNlms(6, mu=1 / 16, widely_linear=True)
-    f.run(*(np.stack([v, v]) for v in _stream(95, 50, 6)))  # first-call allocations
-    streams = [_stream(96 + j, 3200, 6) for j in range(10)]
-    xs, ds = np.stack([x for x, _ in streams]), np.stack([d for _, d in streams])
-    tracemalloc.start()
-    try:
-        errors = f.run(xs, ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert errors.shape == (10, 3200)
-    assert peak <= 1.25 * errors.nbytes

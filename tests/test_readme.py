@@ -14,7 +14,7 @@ def test_library_sketch_runs():
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["out"].errors.shape == (200,)
-    assert namespace["bank"].shape == (4, 50)
+    assert namespace["errors"].shape == (200,)
     assert namespace["both"].shape == (50, 2, 4)
 
 
